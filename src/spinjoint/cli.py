@@ -13,6 +13,8 @@ failed assertion), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
@@ -29,11 +31,13 @@ from .correlations import (
 from .errors import SpinJointError
 from .joint import (
     JointSpec,
+    _check_sharpness,
     bound_lhs,
     general_effect_min_eigenvalues,
     general_joint_povm,
     is_admissible,
     max_symmetric_alpha,
+    outcome_values,
     product_form_check,
 )
 from .povm import validate as validate_povm
@@ -51,33 +55,42 @@ from .uncertainty import evaluate_all, product_form
 SLACK_FLOOR = -1e-10
 
 
-def _direction(text: str) -> np.ndarray:
-    try:
-        v = vec3([float(part) for part in text.split(",")])
-    except (ValueError, TypeError) as exc:
-        raise argparse.ArgumentTypeError(f"not a 3-vector: {text!r}") from exc
-    n = norm3(v)
-    if n < 1e-12:
-        raise argparse.ArgumentTypeError("direction must be nonzero")
-    return v / n
-
-
-def _bloch(text: str) -> np.ndarray:
+def _vector(text: str) -> np.ndarray:
     try:
         return vec3([float(part) for part in text.split(",")])
     except (ValueError, TypeError) as exc:
         raise argparse.ArgumentTypeError(f"not a 3-vector: {text!r}") from exc
 
 
+def _direction(text: str) -> np.ndarray:
+    v = _vector(text)
+    n = norm3(v)
+    if n < 1e-12:
+        raise argparse.ArgumentTypeError("direction must be nonzero")
+    return v / n
+
+
 def _alpha(text: str):
     if text == "optimal-symmetric":
         return text
     try:
-        return float(text)
+        value = float(text)
+        _check_sharpness("sharpness", value)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
-            f"expected a number or 'optimal-symmetric', got {text!r}"
+            f"expected a number in [-1, 1] or 'optimal-symmetric', got {text!r}"
         ) from exc
+    return value
+
+
+def _int_at_least(low: int):
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as "invalid integer value"
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return integer
 
 
 def _add_spec_flags(sub: argparse.ArgumentParser) -> None:
@@ -139,11 +152,11 @@ def _emit_rows(args, rows: list[dict]) -> None:
     if args.format == "json":
         _emit(args, json.dumps(rows, indent=2) + "\n")
         return
-    header = ",".join(rows[0].keys())
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row.values()))
-    _emit(args, "\n".join(lines) + "\n")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(rows[0].keys())
+    writer.writerows([_fmt(v) for v in row.values()] for row in rows)
+    _emit(args, buf.getvalue())
 
 
 def _emit_record(args, record: dict) -> None:
@@ -156,9 +169,8 @@ def _emit_record(args, record: dict) -> None:
 def cmd_validate(parser, args) -> int:
     spec = _resolve_spec(parser, args)
     eigs = general_effect_min_eigenvalues(spec)
-    admissible = is_admissible(spec)
     record = {
-        "admissible": admissible,
+        "admissible": is_admissible(spec),
         "bound_lhs": bound_lhs(spec),
         "product_form": product_form_check(spec),
         "min_eig_pp": eigs[0],
@@ -168,7 +180,7 @@ def cmd_validate(parser, args) -> int:
         "completeness_defect": None,
         "error": "",
     }
-    if admissible:
+    if record["admissible"]:
         report = validate_povm(general_joint_povm(spec))
         record["completeness_defect"] = report.completeness_defect
         if report.passes:
@@ -183,8 +195,6 @@ def cmd_validate(parser, args) -> int:
 
 def cmd_scan_theta(parser, args) -> int:
     points = args.points
-    if points < 2:
-        parser.error("--points must be >= 2")
     rows = []
     for i in range(points):
         theta = i * math.pi / (points - 1)
@@ -221,16 +231,13 @@ def cmd_chsh(parser, args) -> int:
     if args.n is not None:
         stream = SeededStream(args.seed)
         povm = general_joint_povm(spec)
-        first = lambda l: 1.0 if l[0] == "+" else -1.0
-        second = lambda l: 1.0 if l[1] == "+" else -1.0
         tally_b = sample_two_party(povm, settings.b, args.n, stream)
         tally_bp = sample_two_party(povm, settings.b_prime, args.n, stream, offset=args.n)
-        emp = (
-            tally_b.correlation(first).mean,
-            tally_b.correlation(second).mean,
-            tally_bp.correlation(first).mean,
-            tally_bp.correlation(second).mean,
-        )
+        emp = [
+            tally.correlation(lambda label, k=k: outcome_values(label)[k]).mean
+            for tally in (tally_b, tally_bp)
+            for k in (0, 1)
+        ]
         record["chsh_empirical"] = abs(emp[0] + emp[1]) + abs(emp[2] - emp[3])
         record["n"] = args.n
         record["seed"] = args.seed
@@ -368,45 +375,45 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_validate)
 
     p = subs.add_parser("scan-theta", help="sweep the angle; optimal sharpness and gaps")
-    p.add_argument("--points", type=int, default=181)
+    p.add_argument("--points", type=_int_at_least(2), default=181)
     _add_output_flags(p, "csv")
     p.set_defaults(func=cmd_scan_theta)
 
     p = subs.add_parser("chsh", help="CHSH-type combination at optimal settings")
     _add_spec_flags(p)
-    p.add_argument("--n", type=int, default=None, help="also sample empirically")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_int_at_least(1), default=None, help="also sample empirically")
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     _add_output_flags(p, "json")
     p.set_defaults(func=cmd_chsh)
 
     p = subs.add_parser("sample", help="draw outcomes of the joint measurement")
     _add_spec_flags(p)
-    p.add_argument("--bloch", type=_bloch, default=np.zeros(3),
+    p.add_argument("--bloch", type=_vector, default=np.zeros(3),
                    help="Bloch vector of the measured state (default mixed)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
     _add_output_flags(p, "csv")
     p.set_defaults(func=cmd_sample)
 
     p = subs.add_parser("signal", help="Monte Carlo no-signalling experiment")
     _add_spec_flags(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
     _add_output_flags(p, "json")
     p.set_defaults(func=cmd_signal)
 
     p = subs.add_parser("uncertainty", help="evaluate all variance bounds on random states")
     _add_spec_flags(p)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_int_at_least(1), default=1000)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     _add_output_flags(p, "csv")
     p.set_defaults(func=cmd_uncertainty)
 
     p = subs.add_parser("bb84", help="joint-measurement eavesdropper study")
     p.add_argument("--theta-deg", type=float, default=None,
                    help="basis angle on the Bloch sphere (default: run 90 and 45)")
-    p.add_argument("--n", type=int, required=True, help="trials per basis/bit cell")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True, help="trials per basis/bit cell")
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
     _add_output_flags(p, "csv")
     p.set_defaults(func=cmd_bb84)
 

@@ -20,15 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDirection
 from .joint import (
     JointSpec,
+    _diagonals,
+    _spec_diagonals,
+    _unit_diagonals,
     general_joint_povm,
     outcome_values,
     require_admissible,
 )
-from .povm import Povm, projective_povm, two_party_probabilities
-from .qubit import TwoQubitState, norm3, unit3
+from .povm import projective_povm, two_party_probabilities
+from .qubit import TwoQubitState, _freeze, unit3
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
@@ -43,12 +45,7 @@ class Settings:
     b_prime: np.ndarray
 
     def __post_init__(self):
-        b = unit3(self.b)
-        bp = unit3(self.b_prime)
-        b.setflags(write=False)
-        bp.setflags(write=False)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "b_prime", bp)
+        _freeze(self, b=unit3(self.b), b_prime=unit3(self.b_prime))
 
 
 @dataclass(frozen=True)
@@ -105,32 +102,29 @@ def joint_correlations(spec: JointSpec, settings: Settings) -> CorrelationSet:
     )
 
 
+def _analyzer_tables(spec: JointSpec, settings: Settings):
+    """Outcome values (+-1, +-1) of the joint measurement's effects and its
+    two-party tables on the singlet against analyzers b and b_prime."""
+    povm1 = general_joint_povm(spec)
+    state = singlet()
+    values = np.array([outcome_values(label) for label in povm1.labels])
+    tables = [
+        two_party_probabilities(povm1, projective_povm(direction), state)
+        for direction in (settings.b, settings.b_prime)
+    ]
+    return values, tables
+
+
 def born_correlations(spec: JointSpec, settings: Settings) -> CorrelationSet:
     """Same correlation set computed the long way: four-outcome joint
-    measurement tensored with each analyzer, traced against the singlet.
+    measurement paired with each analyzer in the Born rule on the singlet.
 
     Independent cross-check of ``joint_correlations``.
     """
-    povm1 = general_joint_povm(spec)
-    state = singlet()
-    values = {}
-    for tag, direction in (("b", settings.b), ("bp", settings.b_prime)):
-        probs = two_party_probabilities(povm1, projective_povm(direction), state)
-        e_a = 0.0
-        e_ap = 0.0
-        for i, label in enumerate(povm1.labels):
-            va, vap = outcome_values(label)
-            # analyzer labels are ("+", "-") in column order
-            contrib = probs[i, 0] - probs[i, 1]
-            e_a += va * contrib
-            e_ap += vap * contrib
-        values[tag] = (e_a, e_ap)
-    return CorrelationSet(
-        e_ab=values["b"][0],
-        e_apb=values["b"][1],
-        e_abp=values["bp"][0],
-        e_apbp=values["bp"][1],
-    )
+    values, tables = _analyzer_tables(spec, settings)
+    # analyzer labels are ("+", "-") in column order
+    (e_ab, e_apb), (e_abp, e_apbp) = [values.T @ (p[:, 0] - p[:, 1]) for p in tables]
+    return CorrelationSet(e_ab, e_apb, e_abp, e_apbp)
 
 
 def chsh_value(corr: CorrelationSet) -> float:
@@ -163,29 +157,19 @@ def optimal_settings(spec: JointSpec) -> Settings:
     The antiparallel choices are equally optimal (only absolute values
     enter); this function deterministically returns the +-parallel pair.
     """
-    v_plus = spec.alpha * spec.a + spec.alpha_prime * spec.a_prime
-    v_minus = spec.alpha * spec.a - spec.alpha_prime * spec.a_prime
-    n_plus = norm3(v_plus)
-    n_minus = norm3(v_minus)
-    if n_plus < 1e-12 or n_minus < 1e-12:
-        raise DegenerateDirection(
-            "optimal analyzer direction undefined: a diagonal vanishes"
-        )
-    return Settings(b=v_plus / n_plus, b_prime=v_minus / n_minus)
+    b, b_prime = _unit_diagonals(
+        _spec_diagonals(spec),
+        "optimal analyzer direction undefined: a diagonal vanishes",
+    )
+    return Settings(b=b, b_prime=b_prime)
 
 
 def tsirelson_settings(a, a_prime) -> Settings:
     """Analyzers b along a + a', b_prime along a - a'; with sharp
     measurements of orthogonal a, a' these reach 2 sqrt(2)."""
-    a = unit3(a)
-    ap = unit3(a_prime)
-    v_plus = a + ap
-    v_minus = a - ap
-    n_plus = norm3(v_plus)
-    n_minus = norm3(v_minus)
-    if n_plus < 1e-12 or n_minus < 1e-12:
-        raise DegenerateDirection("directions are (anti)parallel")
-    return Settings(b=v_plus / n_plus, b_prime=v_minus / n_minus)
+    d = _diagonals(unit3(a), unit3(a_prime), 1.0, 1.0)
+    b, b_prime = _unit_diagonals(d, "directions are (anti)parallel")
+    return Settings(b=b, b_prime=b_prime)
 
 
 def sharp_chsh_reference() -> tuple[CorrelationSet, float]:
@@ -204,15 +188,6 @@ def no_signalling_probe(spec: JointSpec, settings: Settings) -> tuple[float, flo
     The two numbers agree identically because observer 2's effects sum to
     the identity; any difference would be a usable signal.
     """
-    povm1 = general_joint_povm(spec)
-    state = singlet()
-    out = []
-    for direction in (settings.b, settings.b_prime):
-        probs = two_party_probabilities(povm1, projective_povm(direction), state)
-        p_same = 0.0
-        for i, label in enumerate(povm1.labels):
-            va, vap = outcome_values(label)
-            if va == vap:
-                p_same += float(probs[i].sum())
-        out.append(p_same)
-    return (out[0], out[1])
+    values, tables = _analyzer_tables(spec, settings)
+    same = values[:, 0] == values[:, 1]
+    return tuple(float(probs[same].sum()) for probs in tables)

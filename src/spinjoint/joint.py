@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,12 +33,16 @@ from .errors import (
     NotSaturating,
 )
 from .povm import Effect, Povm, projective_povm
-from .qubit import QubitState, norm3, normalize, unit3
+from .qubit import ID2, QubitState, _freeze, normalize, pauli_dot, unit3
 
-# One tolerance shared by every admissibility predicate (diagonal sum,
-# product form, effect positivity) so they cannot disagree on a sample.
+# Every "admissible?" answer is one decision, ``_decide``: the smallest
+# effect eigenvalue of the general family must be >= -ADMISSIBILITY_TOL.
+# The diagonal sum and the product form are reported, never compared.
 ADMISSIBILITY_TOL = 1e-10
+# |diagonal sum - 2| allowed by the constructions defined only at equality.
 SATURATION_TOL = 1e-10
+# A diagonal shorter than this has no direction.
+_DEGENERATE_NORM = 1e-12
 
 # Outcome alphabet, first slot tracks a, second slot tracks a_prime.
 OUTCOME_LABELS = ("++", "--", "+-", "-+")
@@ -48,6 +53,11 @@ def outcome_values(label: str) -> tuple[int, int]:
     if len(label) != 2 or any(ch not in "+-" for ch in label):
         raise ValueError(f"not a joint-outcome label: {label!r}")
     return (1 if label[0] == "+" else -1, 1 if label[1] == "+" else -1)
+
+
+def _check_sharpness(name: str, value: float) -> None:
+    if not math.isfinite(value) or abs(value) > 1.0 + 1e-12:
+        raise ValueError(f"|{name}| must be <= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -74,8 +84,7 @@ class JointSpec:
         alpha = float(self.alpha)
         alpha_p = float(self.alpha_prime)
         for name, val in (("alpha", alpha), ("alpha_prime", alpha_p)):
-            if not math.isfinite(val) or abs(val) > 1.0 + 1e-12:
-                raise ValueError(f"|{name}| must be <= 1, got {val}")
+            _check_sharpness(name, val)
         cos_t = float(np.clip(a @ ap, -1.0, 1.0))
         derived = math.acos(cos_t)
         if self.theta is not None:
@@ -84,10 +93,7 @@ class JointSpec:
                 raise ValueError(
                     f"theta = {given} inconsistent with a.a_prime = {cos_t}"
                 )
-        a.setflags(write=False)
-        ap.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "a_prime", ap)
+        _freeze(self, a=a, a_prime=ap)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "alpha_prime", alpha_p)
         object.__setattr__(self, "theta", derived)
@@ -114,11 +120,9 @@ class JointSpec:
     @classmethod
     def optimal_symmetric(cls, a, a_prime):
         """Equal sharpness factors at their largest admissible value."""
-        a = unit3(a)
-        ap = unit3(a_prime)
-        theta = math.acos(float(np.clip(a @ ap, -1.0, 1.0)))
-        alpha = max_symmetric_alpha(theta)
-        return cls(a, ap, alpha, alpha)
+        spec = cls(a, a_prime, 0.0, 0.0)
+        alpha = max_symmetric_alpha(spec.theta)
+        return cls(spec.a, spec.a_prime, alpha, alpha)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -149,13 +153,8 @@ class SwitchRealization:
         p = float(self.p)
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"p = {p} is not a probability")
-        c = unit3(self.c)
-        cp = unit3(self.c_prime)
-        c.setflags(write=False)
-        cp.setflags(write=False)
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "c_prime", cp)
+        _freeze(self, c=unit3(self.c), c_prime=unit3(self.c_prime))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -179,10 +178,72 @@ class VarianceReport:
     var_bare_prime: float
 
 
-def _diagonals(spec: JointSpec) -> tuple[np.ndarray, np.ndarray]:
-    v_plus = spec.alpha * spec.a + spec.alpha_prime * spec.a_prime
-    v_minus = spec.alpha * spec.a - spec.alpha_prime * spec.a_prime
-    return v_plus, v_minus
+class _Diagonals(NamedTuple):
+    """Parallelogram quantities of one spec, or of a batch of specs."""
+
+    v_plus: np.ndarray  # alpha a + alpha' a'
+    v_minus: np.ndarray  # alpha a - alpha' a'
+    n_plus: np.ndarray  # |v_plus|
+    n_minus: np.ndarray  # |v_minus|
+    w_plus: np.ndarray  # 1 + alpha alpha' a.a'
+    w_minus: np.ndarray  # 1 - alpha alpha' a.a'
+    diagonal_sum: np.ndarray  # admissible iff <= 2
+    product_form: np.ndarray  # admissible iff <= 1
+    eig_plus: np.ndarray  # (w_plus - |v_plus|)/4, effects ++ and --
+    eig_minus: np.ndarray  # (w_minus - |v_minus|)/4, effects +- and -+
+
+
+def _diagonals(a, a_prime, alpha, alpha_prime) -> _Diagonals:
+    """The one kernel for every admissibility quantity, over ``(..., 3)``
+    directions and ``(...)`` sharpness factors."""
+    alpha = np.asarray(alpha, dtype=float)
+    alpha_prime = np.asarray(alpha_prime, dtype=float)
+    v_plus = alpha[..., None] * a + alpha_prime[..., None] * a_prime
+    v_minus = alpha[..., None] * a - alpha_prime[..., None] * a_prime
+    # vecdot rounds as the 1-D ``u @ v`` does, so a batch of one matches it
+    n_plus = np.sqrt(np.vecdot(v_plus, v_plus))
+    n_minus = np.sqrt(np.vecdot(v_minus, v_minus))
+    c = np.vecdot(a, a_prime)
+    x, y, k = alpha**2, alpha_prime**2, alpha * alpha_prime * c
+    w_plus, w_minus = 1.0 + k, 1.0 - k
+    return _Diagonals(
+        v_plus, v_minus, n_plus, n_minus, w_plus, w_minus, n_plus + n_minus,
+        x + y - x * y * c * c, 0.25 * (w_plus - n_plus), 0.25 * (w_minus - n_minus),
+    )
+
+
+def _spec_diagonals(spec: JointSpec) -> _Diagonals:
+    return _diagonals(spec.a, spec.a_prime, spec.alpha, spec.alpha_prime)
+
+
+def _decide(d: _Diagonals) -> None:
+    """The admissibility decision, the only one in the package: raise
+    BoundViolated unless the smallest effect eigenvalue of the general
+    family is >= -ADMISSIBILITY_TOL."""
+    min_eig = float(min(d.eig_plus, d.eig_minus))
+    if not min_eig >= -ADMISSIBILITY_TOL:
+        raise BoundViolated(
+            f"effect eigenvalue {min_eig} < 0: sharpness bound exceeded "
+            f"(diagonal sum {float(d.diagonal_sum)} > 2)",
+            min_eigenvalue=min_eig,
+        )
+
+
+def _require_saturating(d: _Diagonals, construction: str) -> None:
+    total = float(d.diagonal_sum)
+    if abs(total - 2.0) > SATURATION_TOL:
+        raise NotSaturating(
+            f"diagonal sum {total} != 2; the {construction} is defined "
+            "only at equality"
+        )
+
+
+def _unit_diagonals(d: _Diagonals, message: str) -> tuple[np.ndarray, np.ndarray]:
+    """Directions of the two diagonals; DegenerateDirection when one
+    vanishes."""
+    if d.n_plus < _DEGENERATE_NORM or d.n_minus < _DEGENERATE_NORM:
+        raise DegenerateDirection(message)
+    return d.v_plus / d.n_plus, d.v_minus / d.n_minus
 
 
 def bound_lhs(spec: JointSpec) -> float:
@@ -191,8 +252,7 @@ def bound_lhs(spec: JointSpec) -> float:
     The spec is admissible iff this is <= 2 (the parallelogram-diagonal
     criterion); equality marks the sharpest possible joint measurement.
     """
-    v_plus, v_minus = _diagonals(spec)
-    return norm3(v_plus) + norm3(v_minus)
+    return float(_spec_diagonals(spec).diagonal_sum)
 
 
 def product_form_check(spec: JointSpec) -> float:
@@ -201,14 +261,15 @@ def product_form_check(spec: JointSpec) -> float:
     Admissible iff <= 1; algebraically equivalent to ``bound_lhs <= 2``
     (square the diagonal sum twice and cancel).
     """
-    x = spec.alpha**2
-    y = spec.alpha_prime**2
-    c = spec.cos_theta
-    return x + y - x * y * c * c
+    return float(_spec_diagonals(spec).product_form)
 
 
-def is_admissible(spec: JointSpec, tol: float = ADMISSIBILITY_TOL) -> bool:
-    return bound_lhs(spec) <= 2.0 + tol
+def is_admissible(spec: JointSpec) -> bool:
+    try:
+        require_admissible(spec)
+    except BoundViolated:
+        return False
+    return True
 
 
 def max_symmetric_alpha(theta: float) -> float:
@@ -223,15 +284,13 @@ def max_symmetric_alpha(theta: float) -> float:
     return 1.0 / math.sqrt(1.0 + abs(math.sin(theta)))
 
 
-def _four_effects(weights, vectors) -> Povm:
-    effects = []
-    for label, w, v in zip(OUTCOME_LABELS, weights, vectors):
-        x, y, z = v
-        op = 0.25 * np.array(
-            [[w + z, x - 1j * y], [x + 1j * y, w - z]], dtype=complex
-        )
-        effects.append(Effect(label, op))
-    return Povm(tuple(effects))
+def _four_effects(weights, d: _Diagonals) -> Povm:
+    """Effects (w +- v.sigma)/4 for v = v_plus (++, --) and v_minus (+-, -+)."""
+    vectors = (d.v_plus, -d.v_plus, d.v_minus, -d.v_minus)
+    return Povm(tuple(
+        Effect(label, 0.25 * (w * ID2 + pauli_dot(v)))
+        for label, w, v in zip(OUTCOME_LABELS, weights, vectors)
+    ))
 
 
 def optimal_joint_povm(spec: JointSpec) -> Povm:
@@ -242,23 +301,9 @@ def optimal_joint_povm(spec: JointSpec) -> Povm:
     identity, so completeness holds exactly because the bound is
     saturated; a non-saturating spec raises NotSaturating.
     """
-    v_plus, v_minus = _diagonals(spec)
-    n_plus = norm3(v_plus)
-    n_minus = norm3(v_minus)
-    if abs(n_plus + n_minus - 2.0) > SATURATION_TOL:
-        raise NotSaturating(
-            f"diagonal sum {n_plus + n_minus} != 2; the saturating "
-            "four-outcome family is defined only at equality"
-        )
-    weights = (n_plus, n_plus, n_minus, n_minus)
-    vectors = (v_plus, -v_plus, v_minus, -v_minus)
-    return _four_effects(weights, vectors)
-
-
-def _general_weights(spec: JointSpec):
-    w_plus = 1.0 + spec.alpha * spec.alpha_prime * spec.cos_theta
-    w_minus = 1.0 - spec.alpha * spec.alpha_prime * spec.cos_theta
-    return w_plus, w_minus
+    d = _spec_diagonals(spec)
+    _require_saturating(d, "saturating four-outcome family")
+    return _four_effects((d.n_plus, d.n_plus, d.n_minus, d.n_minus), d)
 
 
 def general_joint_povm(spec: JointSpec) -> Povm:
@@ -270,19 +315,9 @@ def general_joint_povm(spec: JointSpec) -> Povm:
     BoundViolated carrying the offending eigenvalue.  At saturation this
     family coincides with ``optimal_joint_povm``.
     """
-    v_plus, v_minus = _diagonals(spec)
-    w_plus, w_minus = _general_weights(spec)
-    weights = (w_plus, w_plus, w_minus, w_minus)
-    vectors = (v_plus, -v_plus, v_minus, -v_minus)
-    povm = _four_effects(weights, vectors)
-    min_eig = min(e.min_eigenvalue() for e in povm.effects)
-    if min_eig < -ADMISSIBILITY_TOL:
-        raise BoundViolated(
-            f"effect eigenvalue {min_eig} < 0: sharpness bound exceeded "
-            f"(diagonal sum {bound_lhs(spec)} > 2)",
-            min_eigenvalue=min_eig,
-        )
-    return povm
+    d = _spec_diagonals(spec)
+    _decide(d)
+    return _four_effects((d.w_plus, d.w_plus, d.w_minus, d.w_minus), d)
 
 
 def admissibility_scan(a, a_prime, alpha, alpha_prime):
@@ -292,46 +327,30 @@ def admissibility_scan(a, a_prime, alpha, alpha_prime):
     ``a_prime``, arrays ``alpha``, ``alpha_prime``) returns three aligned
     arrays: the diagonal sum |alpha a + alpha' a'| + |alpha a - alpha' a'|
     (admissible iff <= 2), the product form (<= 1), and the smallest
-    effect eigenvalue of the general four-outcome family (>= 0).  Values
-    match the scalar functions to rounding.
+    effect eigenvalue of the general four-outcome family (>= 0).  The
+    scalar functions evaluate the same kernel on a batch of one.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    ap = np.atleast_2d(np.asarray(a_prime, dtype=float))
-    al = np.atleast_1d(np.asarray(alpha, dtype=float))
-    alp = np.atleast_1d(np.asarray(alpha_prime, dtype=float))
-    v_plus = al[:, None] * a + alp[:, None] * ap
-    v_minus = al[:, None] * a - alp[:, None] * ap
-    n_plus = np.linalg.norm(v_plus, axis=1)
-    n_minus = np.linalg.norm(v_minus, axis=1)
-    cos_t = np.sum(a * ap, axis=1)
-    diag_sum = n_plus + n_minus
-    pform = al**2 + alp**2 - (al * alp * cos_t) ** 2
-    w_plus = 1.0 + al * alp * cos_t
-    w_minus = 1.0 - al * alp * cos_t
-    min_eig = 0.25 * np.minimum(w_plus - n_plus, w_minus - n_minus)
-    return diag_sum, pform, min_eig
+    d = _diagonals(
+        np.atleast_2d(np.asarray(a, dtype=float)),
+        np.atleast_2d(np.asarray(a_prime, dtype=float)),
+        np.atleast_1d(alpha),
+        np.atleast_1d(alpha_prime),
+    )
+    return d.diagonal_sum, d.product_form, np.minimum(d.eig_plus, d.eig_minus)
 
 
 def general_effect_min_eigenvalues(spec: JointSpec) -> tuple[float, float, float, float]:
     """Smallest eigenvalue of each effect of the general family, in
     OUTCOME_LABELS order, from the closed form (w -+ |v|)/4."""
-    v_plus, v_minus = _diagonals(spec)
-    w_plus, w_minus = _general_weights(spec)
-    eig_sum = 0.25 * (w_plus - norm3(v_plus))
-    eig_diff = 0.25 * (w_minus - norm3(v_minus))
-    return (eig_sum, eig_sum, eig_diff, eig_diff)
+    d = _spec_diagonals(spec)
+    eig_plus, eig_minus = float(d.eig_plus), float(d.eig_minus)
+    return (eig_plus, eig_plus, eig_minus, eig_minus)
 
 
 def require_admissible(spec: JointSpec) -> None:
     """Raise BoundViolated (with the offending eigenvalue) for an
     inadmissible spec; cheap closed-form check."""
-    min_eig = min(general_effect_min_eigenvalues(spec))
-    if min_eig < -ADMISSIBILITY_TOL:
-        raise BoundViolated(
-            f"effect eigenvalue {min_eig} < 0: sharpness bound exceeded "
-            f"(diagonal sum {bound_lhs(spec)} > 2)",
-            min_eigenvalue=min_eig,
-        )
+    _decide(_spec_diagonals(spec))
 
 
 def joint_variances(spec: JointSpec, state: QubitState) -> VarianceReport:
@@ -359,19 +378,10 @@ def switch_realization(spec: JointSpec) -> SwitchRealization:
     directions.  Defined only at saturation; vanishing diagonals (e.g.
     alpha = alpha' with a = a') raise DegenerateDirection.
     """
-    v_plus, v_minus = _diagonals(spec)
-    n_plus = norm3(v_plus)
-    n_minus = norm3(v_minus)
-    if abs(n_plus + n_minus - 2.0) > SATURATION_TOL:
-        raise NotSaturating(
-            f"diagonal sum {n_plus + n_minus} != 2; the switch realization "
-            "exists only at equality"
-        )
-    if n_plus < 1e-12 or n_minus < 1e-12:
-        raise DegenerateDirection("a diagonal of the parallelogram vanishes")
-    return SwitchRealization(
-        p=0.5 * n_plus, c=v_plus / n_plus, c_prime=v_minus / n_minus
-    )
+    d = _spec_diagonals(spec)
+    _require_saturating(d, "switch realization")
+    c, c_prime = _unit_diagonals(d, "a diagonal of the parallelogram vanishes")
+    return SwitchRealization(p=0.5 * d.n_plus, c=c, c_prime=c_prime)
 
 
 def switch_povm(realization: SwitchRealization) -> Povm:

@@ -4,7 +4,9 @@ An ``Effect`` is one labelled outcome operator; a ``Povm`` is an ordered
 collection of them.  Construction only checks structure (shape,
 Hermiticity), so defective candidates can be built and inspected;
 ``validate`` reports positivity and completeness, and the Born-rule
-evaluators refuse POVMs that fail it.
+evaluators refuse POVMs that fail it.  The operator matrix is the stored,
+serialized form; eigenvalues and probabilities come from its Pauli
+coordinates (t, r), taken once at construction.
 """
 
 from __future__ import annotations
@@ -21,10 +23,12 @@ from .qubit import (
     ID2,
     QubitState,
     TwoQubitState,
-    hermitian_eigenvalues,
+    _born,
+    _coordinate_eigenvalues,
+    _freeze,
+    _pauli_coordinates,
     is_hermitian,
     pauli_dot,
-    tensor2,
     unit3,
 )
 
@@ -48,11 +52,10 @@ class Effect:
             raise ValueError("effect operator entries must be finite")
         if not is_hermitian(m, ATOL):
             raise NotHermitian(f"effect {self.label!r} is not Hermitian")
-        m.setflags(write=False)
-        object.__setattr__(self, "op", m)
+        _freeze(self, op=m, _pauli=_pauli_coordinates(m))  # op = (t + r.sigma)/2
 
     def min_eigenvalue(self) -> float:
-        return hermitian_eigenvalues(self.op)[0]
+        return _coordinate_eigenvalues(self._pauli)[0]
 
 
 @dataclass(frozen=True)
@@ -69,6 +72,7 @@ class Povm:
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate outcome labels: {labels}")
         object.__setattr__(self, "effects", effects)
+        _freeze(self, _pauli=np.stack([e._pauli for e in effects]))  # (t, r) rows
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -137,7 +141,7 @@ def _require_valid(povm: Povm, tol: float) -> None:
 def outcome_probabilities(
     povm: Povm, state: QubitState, tol: float = VALIDATION_TOL
 ) -> list[tuple[str, float]]:
-    """Born-rule probabilities Re tr(effect rho), in effect order.
+    """Born-rule probabilities (t + r.m)/2, in effect order.
 
     Tiny negatives from rounding are clamped to 0 and flagged with a
     RuntimeWarning so downstream sampling stays deterministic.
@@ -146,8 +150,7 @@ def outcome_probabilities(
     if not isinstance(state, QubitState):
         raise InvalidState("expected a QubitState")
     out = []
-    for e in povm.effects:
-        p = float(np.trace(e.op @ state.rho).real)
+    for e, p in zip(povm.effects, _born(povm._pauli, state).tolist()):
         if -tol <= p < 0.0:
             warnings.warn(
                 f"clamped negative probability {p} for outcome {e.label!r}",
@@ -162,7 +165,9 @@ def outcome_probabilities(
 def two_party_probabilities(
     povm1: Povm, povm2: Povm, state: TwoQubitState, tol: float = VALIDATION_TOL
 ) -> np.ndarray:
-    """Joint outcome matrix p[i, j] = Re tr((effect1_i x effect2_j) rho4).
+    """Joint outcome matrix p[i, j] = Re tr((effect1_i x effect2_j) rho4),
+    evaluated as A T B^T / 4 from the effects' Pauli coordinates (rows of
+    A and B) and the state's T[mu, nu] = Re tr((sigma_mu x sigma_nu) rho4).
 
     Row sums depend only on povm1 and the reduced state of qubit 1, which
     is the exact operational statement that observer 2's choice of
@@ -172,11 +177,7 @@ def two_party_probabilities(
     _require_valid(povm2, tol)
     if not isinstance(state, TwoQubitState):
         raise InvalidState("expected a TwoQubitState")
-    probs = np.empty((len(povm1), len(povm2)))
-    for i, e1 in enumerate(povm1.effects):
-        for j, e2 in enumerate(povm2.effects):
-            probs[i, j] = float(np.trace(tensor2(e1.op, e2.op) @ state.rho4).real)
-    return probs
+    return 0.25 * (povm1._pauli @ state._pauli @ povm2._pauli.T)
 
 
 def povm_to_json(povm: Povm) -> str:

@@ -1,8 +1,10 @@
-"""Exact small-dimension complex algebra for spin-1/2.
+"""Exact small-dimension algebra for spin-1/2.
 
 Pauli matrices, Bloch-vector density matrices, two-qubit tensor products
-and closed-form Hermitian eigenvalues.  Everything is dense 2x2 / 4x4
-arithmetic; the default absolute tolerance for exactness checks is 1e-12.
+and closed-form Hermitian eigenvalues.  Dense 2x2 / 4x4 complex matrices
+are the stored, validated form; Born-rule quantities and eigenvalues use
+the real Pauli coordinates (t, r) = Re tr(sigma_mu m) of m = (t + r.sigma)/2.
+The default absolute tolerance for exactness checks is 1e-12.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
-ID4 = np.eye(4, dtype=complex)
+_PAULI = np.stack([ID2, PAULI_X, PAULI_Y, PAULI_Z])
 
 
 def vec3(v) -> np.ndarray:
@@ -66,28 +68,64 @@ def is_hermitian(mat, tol: float = ATOL) -> bool:
     return bool(np.max(np.abs(m - m.conj().T)) <= tol)
 
 
-def hermitian_eigenvalues(mat, tol: float = ATOL) -> tuple[float, float]:
-    """Eigenvalues of a Hermitian 2x2 matrix as an ascending pair.
+def _pauli_coordinates(mat) -> np.ndarray:
+    """(t, r) = Re tr(sigma_mu m) of a 2x2 matrix: m = (t + r.sigma)/2 for
+    its Hermitian part."""
+    a, b, c, d = np.asarray(mat).reshape(4).tolist()
+    return np.array([(a + d).real, (b + c).real, (c - b).imag, (a - d).real])
 
-    Closed form (tr +- sqrt(tr^2 - 4 det))/2, evaluated as
-    tr/2 +- hypot((a - d)/2, |b|) which is exact and never takes the
-    square root of a negative rounding residue.
-    """
+
+def _coordinate_eigenvalues(coords) -> tuple[float, float]:
+    """Ascending eigenvalues (t -+ |r|)/2 of (t + r.sigma)/2."""
+    t, x, y, z = coords.tolist()
+    r = math.hypot(x, y, z)
+    return (0.5 * (t - r), 0.5 * (t + r))
+
+
+def _born(coords, state: QubitState):
+    """Born rule Re tr(m rho) = (t s + r.m)/2 for m = (t + r.sigma)/2 and
+    rho = (s + m.sigma)/2; ``coords`` may stack several m as rows."""
+    return 0.5 * (coords @ state._pauli)
+
+
+def hermitian_eigenvalues(mat, tol: float = ATOL) -> tuple[float, float]:
+    """Eigenvalues of a Hermitian 2x2 matrix as an ascending pair,
+    (t -+ |r|)/2 from its Pauli coordinates; never takes the square root
+    of a negative rounding residue."""
     m = np.asarray(mat, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError("expected a 2x2 matrix")
     if not is_hermitian(m, tol):
         raise NotHermitian("matrix is not Hermitian within tolerance")
-    a = m[0, 0].real
-    d = m[1, 1].real
-    half_tr = 0.5 * (a + d)
-    r = math.hypot(0.5 * (a - d), abs(m[0, 1]))
-    return (half_tr - r, half_tr + r)
+    return _coordinate_eigenvalues(_pauli_coordinates(m))
 
 
 def tensor2(a, b) -> np.ndarray:
     """Kronecker product, qubit-1-major ordering."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+
+
+def _freeze(obj, **arrays) -> None:
+    """Set read-only array attributes on a frozen dataclass instance."""
+    for name, arr in arrays.items():
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
+
+
+def _density_matrix(rho, dim: int) -> np.ndarray:
+    """Copy of a dim x dim density matrix, checked for finite entries,
+    Hermiticity and unit trace."""
+    m = np.array(rho, dtype=complex)
+    if m.shape != (dim, dim):
+        raise InvalidState(f"expected a {dim}x{dim} density matrix, got {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise InvalidState("density matrix entries must be finite")
+    if not is_hermitian(m, ATOL):
+        raise InvalidState("density matrix must be Hermitian")
+    tr = complex(np.trace(m))
+    if abs(tr - 1.0) > ATOL:
+        raise InvalidState(f"trace = {tr}, expected 1")
+    return m
 
 
 @dataclass(frozen=True)
@@ -101,28 +139,16 @@ class QubitState:
     rho: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.rho, dtype=complex)
-        if m.shape != (2, 2):
-            raise InvalidState(f"expected a 2x2 density matrix, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise InvalidState("density matrix entries must be finite")
-        if not is_hermitian(m, ATOL):
-            raise InvalidState("density matrix must be Hermitian")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > ATOL:
-            raise InvalidState(f"trace = {tr}, expected 1")
-        lo, _ = hermitian_eigenvalues(m, ATOL)
+        m = _density_matrix(self.rho, 2)
+        coords = _pauli_coordinates(m)
+        lo, _ = _coordinate_eigenvalues(coords)
         if lo < -ATOL:
             raise InvalidState(f"negative eigenvalue {lo}")
-        m.setflags(write=False)
-        object.__setattr__(self, "rho", m)
+        _freeze(self, rho=m, _pauli=coords)  # _pauli = (tr rho, m)
 
     @property
     def bloch_vector(self) -> np.ndarray:
-        r = self.rho
-        return np.array(
-            [2 * r[1, 0].real, 2 * r[1, 0].imag, (r[0, 0] - r[1, 1]).real]
-        )
+        return self._pauli[1:].copy()
 
 
 @dataclass(frozen=True)
@@ -132,21 +158,13 @@ class TwoQubitState:
     rho4: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.rho4, dtype=complex)
-        if m.shape != (4, 4):
-            raise InvalidState(f"expected a 4x4 density matrix, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise InvalidState("density matrix entries must be finite")
-        if not is_hermitian(m, ATOL):
-            raise InvalidState("density matrix must be Hermitian")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > ATOL:
-            raise InvalidState(f"trace = {tr}, expected 1")
+        m = _density_matrix(self.rho4, 4)
         lo = float(np.linalg.eigvalsh(m)[0])
         if lo < -1e-10:
             raise InvalidState(f"negative eigenvalue {lo}")
-        m.setflags(write=False)
-        object.__setattr__(self, "rho4", m)
+        # _pauli[mu, nu] = Re tr((sigma_mu x sigma_nu) rho4)
+        corr = np.einsum("mki,nlj,ijkl->mn", _PAULI, _PAULI, m.reshape(2, 2, 2, 2)).real
+        _freeze(self, rho4=m, _pauli=corr)
 
     def reduced_state(self, qubit: int) -> QubitState:
         """Partial trace onto one qubit (1 or 2)."""
@@ -176,4 +194,4 @@ def expectation(obs, state: QubitState, tol: float = ATOL) -> float:
         raise NotHermitian("observable must be Hermitian")
     if not isinstance(state, QubitState):
         raise InvalidState("expected a QubitState")
-    return float(np.trace(m @ state.rho).real)
+    return float(_born(_pauli_coordinates(m), state))

@@ -67,17 +67,17 @@ def _sin_sq(spec: JointSpec) -> float:
     return max(0.0, 1.0 - c * c)
 
 
-def _require_nonzero_alpha(spec: JointSpec) -> None:
+def _sharpness_squares(spec: JointSpec) -> tuple[float, float]:
+    """(alpha^2, alpha'^2); the product-form relations divide by both."""
     if spec.alpha == 0.0 or spec.alpha_prime == 0.0:
         raise ZeroAlpha("product-form relations require nonzero sharpness")
+    return spec.alpha**2, spec.alpha_prime**2
 
 
 def product_form(spec: JointSpec) -> UncertaintyReport:
     """State-independent cost of jointness; slack 0 exactly at saturation
     of the sharpness bound."""
-    _require_nonzero_alpha(spec)
-    x = spec.alpha**2
-    y = spec.alpha_prime**2
+    x, y = _sharpness_squares(spec)
     lhs = (1.0 - x) * (1.0 - y) / (x * y)
     return _report("product_form", lhs, _sin_sq(spec))
 
@@ -94,17 +94,22 @@ def robertson(state: QubitState, a, a_prime) -> UncertaintyReport:
     return _report("robertson", lhs, rhs, a_perp)
 
 
-def total_joint(spec: JointSpec, state: QubitState) -> UncertaintyReport:
-    """Bound on the total joint-variance product, combining the jointness
-    cost with the commutator bound; specific to spin directions."""
-    _require_nonzero_alpha(spec)
+def _joint_variance_product(spec: JointSpec, state: QubitState):
+    """Var(A_J) Var(A'_J)/(al^2 al'^2) for an admissible spec, with the
+    plane normal a_perp, sin(theta) and <a_perp.sigma>."""
+    x, y = _sharpness_squares(spec)
     require_admissible(spec)
     a_perp, sin_t = _perp_axis(spec.a, spec.a_prime)
     v = joint_variances(spec, state)
-    lhs = v.var_joint * v.var_joint_prime / (spec.alpha**2 * spec.alpha_prime**2)
-    x = abs(float(a_perp @ state.bloch_vector))
-    rhs = (sin_t * (1.0 + x)) ** 2
-    return _report("total_joint", lhs, rhs, a_perp)
+    lhs = v.var_joint * v.var_joint_prime / (x * y)
+    return lhs, a_perp, sin_t, float(a_perp @ state.bloch_vector)
+
+
+def total_joint(spec: JointSpec, state: QubitState) -> UncertaintyReport:
+    """Bound on the total joint-variance product, combining the jointness
+    cost with the commutator bound; specific to spin directions."""
+    lhs, a_perp, sin_t, x = _joint_variance_product(spec, state)
+    return _report("total_joint", lhs, (sin_t * (1.0 + abs(x))) ** 2, a_perp)
 
 
 def arthurs_goodman(spec: JointSpec, state: QubitState) -> UncertaintyReport:
@@ -114,14 +119,8 @@ def arthurs_goodman(spec: JointSpec, state: QubitState) -> UncertaintyReport:
     and the total_joint bound is never weaker; see
     ``total_vs_goodman_rhs`` for the per-state comparison.
     """
-    _require_nonzero_alpha(spec)
-    require_admissible(spec)
-    a_perp, sin_t = _perp_axis(spec.a, spec.a_prime)
-    v = joint_variances(spec, state)
-    lhs = v.var_joint * v.var_joint_prime / (spec.alpha**2 * spec.alpha_prime**2)
-    x = float(a_perp @ state.bloch_vector)
-    rhs = 4.0 * (sin_t * x) ** 2
-    return _report("arthurs_goodman", lhs, rhs, a_perp)
+    lhs, a_perp, sin_t, x = _joint_variance_product(spec, state)
+    return _report("arthurs_goodman", lhs, 4.0 * (sin_t * x) ** 2, a_perp)
 
 
 def total_vs_goodman_rhs(spec: JointSpec, state: QubitState) -> tuple[float, float]:
@@ -153,9 +152,7 @@ def schroedinger(state: QubitState, a, a_prime) -> UncertaintyReport:
 def cirelson_product(spec: JointSpec) -> UncertaintyReport:
     """Product translation of the 2 sqrt(2) correlation ceiling; places
     no restriction below full sharpness."""
-    _require_nonzero_alpha(spec)
-    x = spec.alpha**2
-    y = spec.alpha_prime**2
+    x, y = _sharpness_squares(spec)
     lhs = (2.0 - x) * (2.0 - y) / (x * y)
     return _report("cirelson_product", lhs, _sin_sq(spec))
 
@@ -178,14 +175,3 @@ def reports_to_csv(reports) -> str:
         lines.append(f"{r.relation_id},{r.lhs:.17g},{r.rhs:.17g},{r.slack:.17g}")
     return "\n".join(lines) + "\n"
 
-
-def report_to_json_dict(report: UncertaintyReport) -> dict:
-    doc = {
-        "relation_id": report.relation_id,
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "slack": report.slack,
-    }
-    if report.a_perp is not None:
-        doc["a_perp"] = list(report.a_perp)
-    return doc

@@ -1,13 +1,18 @@
-"""Shared random generators for the test suite.
+"""Shared random generators and dense-matrix oracles for the test suite.
 
 Saturating specs are built from the exact boundary parametrization: for a
 fixed ratio r = alpha'/alpha the diagonal sum is linear in alpha, so
 alpha = 2 / (|a + r a'| + |a - r a'|) lands on the boundary to rounding.
+
+The library computes Born probabilities and admissibility quantities from
+Pauli coordinates in one kernel each.  The oracles here take the other
+route, through explicit complex matrices (Kronecker products, traces,
+``eigvalsh``), so that tests comparing the two stay independent.
 """
 
 import numpy as np
 
-from spinjoint import JointSpec, state_from_bloch
+from spinjoint import PAULI_X, PAULI_Y, PAULI_Z, JointSpec, state_from_bloch
 
 
 def random_unit(rng):
@@ -57,3 +62,38 @@ def random_state(rng):
 
 def random_pure_state(rng):
     return state_from_bloch(random_unit(rng))
+
+
+def dense_sigma(v):
+    return v[0] * PAULI_X + v[1] * PAULI_Y + v[2] * PAULI_Z
+
+
+def dense_admissibility(spec):
+    """(diagonal sum, product form, smallest effect eigenvalue) of a spec
+    from explicitly built diagonals and (w +- v.sigma)/4 matrices."""
+    v_plus = spec.alpha * spec.a + spec.alpha_prime * spec.a_prime
+    v_minus = spec.alpha * spec.a - spec.alpha_prime * spec.a_prime
+    diag_sum = np.linalg.norm(v_plus) + np.linalg.norm(v_minus)
+    k = spec.alpha * spec.alpha_prime * float(np.dot(spec.a, spec.a_prime))
+    pform = spec.alpha**2 + spec.alpha_prime**2 - k**2
+    eye = np.eye(2)
+    mats = [
+        (w * eye + sign * dense_sigma(v)) / 4
+        for w, v in ((1 + k, v_plus), (1 - k, v_minus))
+        for sign in (1, -1)
+    ]
+    min_eig = min(np.linalg.eigvalsh(m)[0] for m in mats)
+    return diag_sum, pform, float(min_eig)
+
+
+def dense_outcome_probabilities(povm, state):
+    """Re tr(effect rho) per effect."""
+    return np.array([np.trace(e.op @ state.rho).real for e in povm.effects])
+
+
+def dense_two_party_probabilities(povm1, povm2, state):
+    """Re tr((effect1_i x effect2_j) rho4) by Kronecker product and trace."""
+    return np.array([
+        [np.trace(np.kron(e1.op, e2.op) @ state.rho4).real for e2 in povm2.effects]
+        for e1 in povm1.effects
+    ])

@@ -12,6 +12,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from helpers import (
+    dense_admissibility,
     random_admissible_spec,
     random_direction_pair,
     random_saturating_spec,
@@ -114,19 +115,24 @@ def test_criterion_02_three_predicate_equivalence():
     agree = np.array_equal(v1, v2) and np.array_equal(v1, v3)
 
     # anchor the vectorized path to the scalar operations, including the
-    # constructor's accept/reject decision with matrix eigenvalues
+    # constructor's accept/reject decision, and both (one shared kernel) to
+    # the dense oracle: explicit diagonals and matrix eigenvalues
     anchored = True
     for i in rng.choice(np.flatnonzero(off_boundary), size=2000, replace=False):
         spec = JointSpec(a[i], ap[i], alpha[i], alpha_p[i])
+        dense_sum, dense_pform, dense_eig = dense_admissibility(spec)
         anchored &= abs(bound_lhs(spec) - diag_sum[i]) <= 1e-12
+        anchored &= abs(dense_sum - diag_sum[i]) <= 1e-12
         anchored &= abs(product_form_check(spec) - pform[i]) <= 1e-12
+        anchored &= abs(dense_pform - pform[i]) <= 1e-12
+        anchored &= abs(dense_eig - min_eig[i]) <= 1e-12
         try:
             povm = general_joint_povm(spec)
             constructed = True
             anchored &= abs(min(validate(povm).min_eigenvalues) - min_eig[i]) <= 1e-12
         except BoundViolated as exc:
             constructed = False
-            anchored &= abs(exc.min_eigenvalue - min_eig[i]) <= 1e-12
+            anchored &= abs(exc.min_eigenvalue - dense_eig) <= 1e-12
         anchored &= constructed == bool(diag_sum[i] <= 2.0)
     elapsed = time.perf_counter() - start
     ok = agree and anchored and elapsed < 5.0 and off_boundary.sum() > 0.99 * n

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -51,6 +53,31 @@ def test_validate_conflicting_direction_flags(capsys):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["signal", "--theta-deg", "90", "--n", "0", "--seed", "1"],
+        ["chsh", "--theta-deg", "90", "--n", "0"],
+        ["bb84", "--n", "0", "--seed", "1"],
+        ["sample", "--theta-deg", "90", "--n", "-5", "--seed", "1"],
+        ["sample", "--theta-deg", "90", "--n", "10", "--seed", "-1"],
+        ["validate", "--alpha", "nan"],
+        ["validate", "--alpha", "1.5"],
+        ["validate", "--alpha", "0.5", "--alpha-prime", "nan"],
+        ["validate", "--alpha", "0.5", "--alpha-prime", "1.5"],
+        ["uncertainty", "--theta-deg", "60", "--samples", "0"],
+    ],
+)
+def test_usage_errors_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    out = capsys.readouterr()
+    assert excinfo.value.code == 2
+    assert out.out == ""
+    assert out.err.startswith("usage: spinjoint")
+    assert "Traceback" not in out.err
+
+
 def test_scan_theta_deterministic_and_correct(capsys):
     code, first, _ = run(capsys, ["scan-theta", "--points", "181"])
     assert code == 0
@@ -93,6 +120,19 @@ def test_chsh_guessing_spec(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["chsh"] == pytest.approx(2.0, abs=1e-12)  # 2|a.b| with b = a
+
+
+def test_chsh_csv_rows_match_header(capsys):
+    code, out, _ = run(
+        capsys, ["chsh", "--theta-deg", "60", "--n", "1000", "--seed", "3", "--format", "csv"]
+    )
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    assert len(rows) == 1
+    assert all(len(row) == len(header) for row in rows)
+    record = dict(zip(header, rows[0]))
+    assert len(record["b"].split(",")) == 3
+    assert len(record["b_prime"].split(",")) == 3
 
 
 def test_chsh_empirical(capsys):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 
 import numpy as np
@@ -8,6 +10,7 @@ from scipy.optimize import brentq
 
 from helpers import (
     boundary_alphas,
+    dense_admissibility,
     random_admissible_spec,
     random_direction_pair,
     random_saturating_spec,
@@ -20,11 +23,13 @@ from spinjoint import (
     DegenerateDirection,
     JointSpec,
     NotSaturating,
+    Settings,
     SwitchRealization,
     bound_lhs,
     general_effect_min_eigenvalues,
     general_joint_povm,
     is_admissible,
+    joint_correlations,
     joint_variances,
     max_symmetric_alpha,
     optimal_joint_povm,
@@ -37,6 +42,8 @@ from spinjoint import (
     switch_realization,
     validate,
 )
+from spinjoint import cli
+from spinjoint.joint import require_admissible
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -112,6 +119,46 @@ def test_admissibility_predicates_agree(va, vap, alpha, alpha_p):
     except BoundViolated:
         constructed = False
     assert constructed == verdicts[0]
+
+
+def _accepts(fn, spec):
+    try:
+        fn(spec)
+    except BoundViolated:
+        return False
+    return True
+
+
+def _cli_validate_exit(theta_deg, alpha):
+    argv = ["validate", "--theta-deg", repr(theta_deg), "--alpha", repr(alpha),
+            "--alpha-prime", repr(alpha)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(argv)
+
+
+def test_admissibility_entry_points_agree_in_boundary_band(monkeypatch):
+    # alpha = alpha_max(theta)(1 + eps) straddles the boundary inside the
+    # band that test_admissibility_predicates_agree excludes
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)  # built once, not 2400 times
+    settings = Settings(X, Z)
+    disagreements = []
+    for theta_deg in np.linspace(3.0, 177.0, 24):
+        theta = math.radians(theta_deg)
+        for eps in np.logspace(-13, -8, 100):
+            alpha = max_symmetric_alpha(theta) * (1.0 + float(eps))
+            # the spec the CLI resolves from the same flags
+            spec = JointSpec.from_angle(theta, alpha, alpha)
+            verdicts = (
+                is_admissible(spec),
+                _accepts(require_admissible, spec),
+                _accepts(general_joint_povm, spec),
+                _accepts(lambda s: joint_correlations(s, settings), spec),
+                _cli_validate_exit(float(theta_deg), alpha) == 0,
+            )
+            if len(set(verdicts)) != 1:
+                disagreements.append((theta_deg, eps, verdicts))
+    assert disagreements == []
 
 
 def test_optimal_joint_povm_explicit_matrix():
@@ -323,11 +370,14 @@ def test_admissibility_scan_matches_scalar_functions():
     diag_sum, pform, min_eig = admissibility_scan(a, ap, alpha, alpha_p)
     for i in range(n):
         spec = JointSpec(a[i], ap[i], alpha[i], alpha_p[i])
-        assert diag_sum[i] == pytest.approx(bound_lhs(spec), abs=1e-12)
-        assert pform[i] == pytest.approx(product_form_check(spec), abs=1e-12)
-        assert min_eig[i] == pytest.approx(
-            min(general_effect_min_eigenvalues(spec)), abs=1e-12
-        )
+        # both routes share one kernel, so each is held to the dense oracle
+        dense_sum, dense_pform, dense_eig = dense_admissibility(spec)
+        for value in (diag_sum[i], bound_lhs(spec)):
+            assert value == pytest.approx(dense_sum, abs=1e-12)
+        for value in (pform[i], product_form_check(spec)):
+            assert value == pytest.approx(dense_pform, abs=1e-12)
+        for value in (min_eig[i], min(general_effect_min_eigenvalues(spec))):
+            assert value == pytest.approx(dense_eig, abs=1e-12)
 
 
 def test_boundary_alphas_helper_respects_caps():

@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_direction_pair, random_state, random_unit
+from helpers import (
+    dense_outcome_probabilities,
+    dense_two_party_probabilities,
+    random_admissible_spec,
+    random_direction_pair,
+    random_saturating_spec,
+    random_state,
+    random_unit,
+)
 from spinjoint import (
     ID2,
     Effect,
@@ -12,6 +20,7 @@ from spinjoint import (
     NotUnit,
     Povm,
     TwoQubitState,
+    general_joint_povm,
     outcome_probabilities,
     pauli_dot,
     povm_from_json,
@@ -19,6 +28,8 @@ from spinjoint import (
     projective_povm,
     singlet,
     state_from_bloch,
+    switch_povm,
+    switch_realization,
     tensor2,
     two_party_probabilities,
     validate,
@@ -155,6 +166,37 @@ def test_two_party_total_probability():
     probs = two_party_probabilities(povm1, povm2, singlet())
     assert np.min(probs) >= -1e-12
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_born_probabilities_match_dense_oracle():
+    # Pauli-coordinate Born rule against Kronecker products and traces
+    rng = np.random.default_rng(19)
+    worst_one = worst_two = 0.0
+    for _ in range(50):
+        povms = (
+            projective_povm(random_unit(rng)),
+            general_joint_povm(random_admissible_spec(rng)),
+            switch_povm(switch_realization(random_saturating_spec(rng))),
+        )
+        state = random_state(rng)
+        for povm in povms:
+            got = np.array([p for _, p in outcome_probabilities(povm, state)])
+            worst_one = max(worst_one, np.max(np.abs(got - dense_outcome_probabilities(povm, state))))
+        product = np.kron(random_state(rng).rho, random_state(rng).rho)
+        p = rng.uniform()
+        pairs = (
+            singlet(),
+            TwoQubitState(product),
+            TwoQubitState(p * singlet().rho4 + (1 - p) * product),
+        )
+        for pair in pairs:
+            for povm1 in povms:
+                for povm2 in povms:
+                    got = two_party_probabilities(povm1, povm2, pair)
+                    want = dense_two_party_probabilities(povm1, povm2, pair)
+                    worst_two = max(worst_two, np.max(np.abs(got - want)))
+    assert worst_one <= 1e-12
+    assert worst_two <= 1e-12
 
 
 finite = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
