@@ -36,7 +36,6 @@ from .errors import (
     ZeroAlpha,
 )
 from .joint import (
-    ADMISSIBILITY_TOL,
     OUTCOME_LABELS,
     JointSpec,
     SwitchRealization,
@@ -66,10 +65,12 @@ from .povm import (
     validate,
 )
 from .qubit import (
+    ATOL,
     ID2,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    TOL,
     QubitState,
     TwoQubitState,
     expectation,

@@ -41,7 +41,7 @@ from .joint import (
     product_form_check,
 )
 from .povm import validate as validate_povm
-from .qubit import norm3, state_from_bloch, vec3
+from .qubit import TOL, normalize, state_from_bloch, vec3
 from .sampling import (
     SeededStream,
     sample_povm,
@@ -52,8 +52,6 @@ from .sampling import (
 from .scenarios import CLONER_ETA_MAX, bb84_eve, cloning_joint, min_cloning_gap
 from .uncertainty import evaluate_all, product_form
 
-SLACK_FLOOR = -1e-10
-
 
 def _vector(text: str) -> np.ndarray:
     try:
@@ -63,11 +61,10 @@ def _vector(text: str) -> np.ndarray:
 
 
 def _direction(text: str) -> np.ndarray:
-    v = _vector(text)
-    n = norm3(v)
-    if n < 1e-12:
-        raise argparse.ArgumentTypeError("direction must be nonzero")
-    return v / n
+    try:
+        return normalize(_vector(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError("direction must be nonzero") from exc
 
 
 def _alpha(text: str):
@@ -80,6 +77,16 @@ def _alpha(text: str):
         raise argparse.ArgumentTypeError(
             f"expected a number in [-1, 1] or 'optimal-symmetric', got {text!r}"
         ) from exc
+    return value
+
+
+def _degrees(text: str) -> float:
+    try:
+        value = float(text)
+        if not 0.0 <= value <= 180.0:  # also rejects nan
+            raise ValueError
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected degrees in [0, 180], got {text!r}") from exc
     return value
 
 
@@ -98,7 +105,7 @@ def _add_spec_flags(sub: argparse.ArgumentParser) -> None:
                      help="first direction, comma-separated floats (normalized)")
     sub.add_argument("--a-prime", type=_direction, default=None,
                      help="second direction (alternative to --theta-deg)")
-    sub.add_argument("--theta-deg", type=float, default=None,
+    sub.add_argument("--theta-deg", type=_degrees, default=None,
                      help="angle between directions; places a' in the plane "
                           "of a and the x axis (default 90)")
     sub.add_argument("--alpha", type=_alpha, default="optimal-symmetric",
@@ -120,10 +127,7 @@ def _resolve_spec(parser: argparse.ArgumentParser, args) -> JointSpec:
     if args.a_prime is not None:
         theta = math.acos(float(np.clip(args.a @ args.a_prime, -1.0, 1.0)))
     else:
-        theta_deg = 90.0 if args.theta_deg is None else args.theta_deg
-        if not 0.0 <= theta_deg <= 180.0:
-            parser.error("--theta-deg must lie in [0, 180]")
-        theta = math.radians(theta_deg)
+        theta = math.radians(90.0 if args.theta_deg is None else args.theta_deg)
     alpha = args.alpha
     alpha_prime = args.alpha_prime if args.alpha_prime is not None else alpha
     if alpha == "optimal-symmetric" or alpha_prime == "optimal-symmetric":
@@ -242,7 +246,7 @@ def cmd_chsh(parser, args) -> int:
         record["n"] = args.n
         record["seed"] = args.seed
     _emit_record(args, record)
-    return 0 if value <= 2.0 + 1e-10 else 1
+    return 0 if value <= 2.0 + TOL else 1
 
 
 def cmd_sample(parser, args) -> int:
@@ -314,7 +318,7 @@ def cmd_uncertainty(parser, args) -> int:
             )
             worst = min(worst, report.slack)
     _emit_rows(args, rows)
-    return 0 if worst >= SLACK_FLOOR else 1
+    return 0 if worst >= -TOL else 1
 
 
 def cmd_bb84(parser, args) -> int:
@@ -410,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_uncertainty)
 
     p = subs.add_parser("bb84", help="joint-measurement eavesdropper study")
-    p.add_argument("--theta-deg", type=float, default=None,
+    p.add_argument("--theta-deg", type=_degrees, default=None,
                    help="basis angle on the Bloch sphere (default: run 90 and 45)")
     p.add_argument("--n", type=_int_at_least(1), required=True, help="trials per basis/bit cell")
     p.add_argument("--seed", type=_int_at_least(0), required=True)
@@ -418,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bb84)
 
     p = subs.add_parser("cloning", help="cloning sharpness versus the admissible optimum")
-    p.add_argument("--theta-deg", type=float, default=None)
+    p.add_argument("--theta-deg", type=_degrees, default=None)
     p.add_argument("--eta", type=float, default=CLONER_ETA_MAX)
     _add_output_flags(p, "json")
     p.set_defaults(func=cmd_cloning)

@@ -14,6 +14,7 @@ measurements on separate systems reach 2 sqrt(2).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ from .joint import (
     require_admissible,
 )
 from .povm import projective_povm, two_party_probabilities
-from .qubit import TwoQubitState, _freeze, unit3
+from .qubit import ATOL, TOL, TwoQubitState, _freeze, unit3
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
@@ -61,11 +62,12 @@ class CorrelationSet:
     def __post_init__(self):
         for name in ("e_ab", "e_apb", "e_abp", "e_apbp"):
             v = float(getattr(self, name))
-            if not math.isfinite(v) or abs(v) > 1.0 + 1e-12:
+            if not math.isfinite(v) or abs(v) > 1.0 + ATOL:
                 raise ValueError(f"{name} = {v} outside [-1, 1]")
             object.__setattr__(self, name, v)
 
 
+@functools.cache
 def singlet() -> TwoQubitState:
     """The maximally entangled two-qubit state with E(a, b) = -a.b."""
     return TwoQubitState(np.outer(_SINGLET_VEC, _SINGLET_VEC.conj()))
@@ -140,7 +142,7 @@ def cirelson_check(corr: CorrelationSet) -> float:
     generated by a quantum strategy, and is flagged with a warning.
     """
     v = chsh_value(corr)
-    if v > TSIRELSON_BOUND + 1e-10:
+    if v > TSIRELSON_BOUND + TOL:
         warnings.warn(
             f"CHSH value {v} exceeds 2*sqrt(2); correlations are not "
             "quantum-realizable",

@@ -33,16 +33,8 @@ from .errors import (
     NotSaturating,
 )
 from .povm import Effect, Povm, projective_povm
-from .qubit import ID2, QubitState, _freeze, normalize, pauli_dot, unit3
-
-# Every "admissible?" answer is one decision, ``_decide``: the smallest
-# effect eigenvalue of the general family must be >= -ADMISSIBILITY_TOL.
-# The diagonal sum and the product form are reported, never compared.
-ADMISSIBILITY_TOL = 1e-10
-# |diagonal sum - 2| allowed by the constructions defined only at equality.
-SATURATION_TOL = 1e-10
-# A diagonal shorter than this has no direction.
-_DEGENERATE_NORM = 1e-12
+from .qubit import (ATOL, ID2, REFERENCE_AXIS_COS, TOL, QubitState, _freeze,
+                    normalize, pauli_dot, unit3)
 
 # Outcome alphabet, first slot tracks a, second slot tracks a_prime.
 OUTCOME_LABELS = ("++", "--", "+-", "-+")
@@ -56,7 +48,7 @@ def outcome_values(label: str) -> tuple[int, int]:
 
 
 def _check_sharpness(name: str, value: float) -> None:
-    if not math.isfinite(value) or abs(value) > 1.0 + 1e-12:
+    if not math.isfinite(value) or abs(value) > 1.0 + ATOL:
         raise ValueError(f"|{name}| must be <= 1, got {value}")
 
 
@@ -89,7 +81,7 @@ class JointSpec:
         derived = math.acos(cos_t)
         if self.theta is not None:
             given = float(self.theta)
-            if not 0.0 <= given <= math.pi or abs(math.cos(given) - cos_t) > 1e-12:
+            if not 0.0 <= given <= math.pi or abs(math.cos(given) - cos_t) > ATOL:
                 raise ValueError(
                     f"theta = {given} inconsistent with a.a_prime = {cos_t}"
                 )
@@ -111,7 +103,7 @@ class JointSpec:
         """
         a = unit3(a)
         ref = np.array([1.0, 0.0, 0.0])
-        if abs(a @ ref) > 1.0 - 1e-9:
+        if abs(a @ ref) > REFERENCE_AXIS_COS:
             ref = np.array([0.0, 0.0, 1.0])
         perp = normalize(ref - (ref @ a) * a)
         ap = math.cos(theta) * a + math.sin(theta) * perp
@@ -217,11 +209,11 @@ def _spec_diagonals(spec: JointSpec) -> _Diagonals:
 
 
 def _decide(d: _Diagonals) -> None:
-    """The admissibility decision, the only one in the package: raise
-    BoundViolated unless the smallest effect eigenvalue of the general
-    family is >= -ADMISSIBILITY_TOL."""
+    """The package's only admissibility decision: raise BoundViolated unless
+    the general family's smallest effect eigenvalue is >= -TOL.  The
+    diagonal sum and the product form are reported, never compared."""
     min_eig = float(min(d.eig_plus, d.eig_minus))
-    if not min_eig >= -ADMISSIBILITY_TOL:
+    if not min_eig >= -TOL:
         raise BoundViolated(
             f"effect eigenvalue {min_eig} < 0: sharpness bound exceeded "
             f"(diagonal sum {float(d.diagonal_sum)} > 2)",
@@ -231,7 +223,7 @@ def _decide(d: _Diagonals) -> None:
 
 def _require_saturating(d: _Diagonals, construction: str) -> None:
     total = float(d.diagonal_sum)
-    if abs(total - 2.0) > SATURATION_TOL:
+    if abs(total - 2.0) > TOL:
         raise NotSaturating(
             f"diagonal sum {total} != 2; the {construction} is defined "
             "only at equality"
@@ -239,9 +231,9 @@ def _require_saturating(d: _Diagonals, construction: str) -> None:
 
 
 def _unit_diagonals(d: _Diagonals, message: str) -> tuple[np.ndarray, np.ndarray]:
-    """Directions of the two diagonals; DegenerateDirection when one
-    vanishes."""
-    if d.n_plus < _DEGENERATE_NORM or d.n_minus < _DEGENERATE_NORM:
+    """Directions of the two diagonals; DegenerateDirection when one is
+    shorter than ATOL."""
+    if d.n_plus < ATOL or d.n_minus < ATOL:
         raise DegenerateDirection(message)
     return d.v_plus / d.n_plus, d.v_minus / d.n_minus
 
@@ -279,7 +271,7 @@ def max_symmetric_alpha(theta: float) -> float:
     2 alpha^2 - alpha^4 cos^2(theta) = 1.
     """
     theta = float(theta)
-    if not 0.0 <= theta <= math.pi + 1e-12:
+    if not 0.0 <= theta <= math.pi + ATOL:
         raise ValueError(f"theta = {theta} outside [0, pi]")
     return 1.0 / math.sqrt(1.0 + abs(math.sin(theta)))
 

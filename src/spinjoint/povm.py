@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import InvalidPovm, InvalidState, NotHermitian
 from .qubit import (
-    ATOL,
     ID2,
+    TOL,
     QubitState,
     TwoQubitState,
     _born,
@@ -31,10 +31,6 @@ from .qubit import (
     pauli_dot,
     unit3,
 )
-
-# User-supplied matrices carry float rounding; construction code in this
-# package is exact to ~1e-15, so validation is looser than ATOL.
-VALIDATION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -50,7 +46,7 @@ class Effect:
             raise ValueError(f"effect operator must be 2x2, got {m.shape}")
         if not np.all(np.isfinite(m)):
             raise ValueError("effect operator entries must be finite")
-        if not is_hermitian(m, ATOL):
+        if not is_hermitian(m):
             raise NotHermitian(f"effect {self.label!r} is not Hermitian")
         _freeze(self, op=m, _pauli=_pauli_coordinates(m))  # op = (t + r.sigma)/2
 
@@ -112,46 +108,44 @@ def projective_povm(a) -> Povm:
     )
 
 
-def validate(povm: Povm, tol: float = VALIDATION_TOL) -> ValidationReport:
-    """Check positivity of every effect and completeness of the sum."""
+def validate(povm: Povm) -> ValidationReport:
+    """Check positivity of every effect and completeness of the sum to TOL."""
     mins = tuple(e.min_eigenvalue() for e in povm.effects)
     total = np.sum([e.op for e in povm.effects], axis=0)
     defect = float(np.max(np.abs(total - ID2)))
     failures = []
     for e, lo in zip(povm.effects, mins):
-        if lo < -tol:
+        if lo < -TOL:
             failures.append(f"effect {e.label!r} has eigenvalue {lo}")
-    if defect > tol:
+    if defect > TOL:
         failures.append(f"completeness defect {defect}")
     return ValidationReport(
         min_eigenvalues=mins,
         completeness_defect=defect,
-        tolerance=tol,
+        tolerance=TOL,
         passes=not failures,
         failures=tuple(failures),
     )
 
 
-def _require_valid(povm: Povm, tol: float) -> None:
-    report = validate(povm, tol)
+def _require_valid(povm: Povm) -> None:
+    report = validate(povm)
     if not report.passes:
         raise InvalidPovm("; ".join(report.failures))
 
 
-def outcome_probabilities(
-    povm: Povm, state: QubitState, tol: float = VALIDATION_TOL
-) -> list[tuple[str, float]]:
+def outcome_probabilities(povm: Povm, state: QubitState) -> list[tuple[str, float]]:
     """Born-rule probabilities (t + r.m)/2, in effect order.
 
-    Tiny negatives from rounding are clamped to 0 and flagged with a
-    RuntimeWarning so downstream sampling stays deterministic.
+    Negatives down to -TOL, the allowance validation grants, are clamped to
+    0 and flagged with a RuntimeWarning so sampling stays deterministic.
     """
-    _require_valid(povm, tol)
+    _require_valid(povm)
     if not isinstance(state, QubitState):
         raise InvalidState("expected a QubitState")
     out = []
     for e, p in zip(povm.effects, _born(povm._pauli, state).tolist()):
-        if -tol <= p < 0.0:
+        if -TOL <= p < 0.0:
             warnings.warn(
                 f"clamped negative probability {p} for outcome {e.label!r}",
                 RuntimeWarning,
@@ -163,7 +157,7 @@ def outcome_probabilities(
 
 
 def two_party_probabilities(
-    povm1: Povm, povm2: Povm, state: TwoQubitState, tol: float = VALIDATION_TOL
+    povm1: Povm, povm2: Povm, state: TwoQubitState
 ) -> np.ndarray:
     """Joint outcome matrix p[i, j] = Re tr((effect1_i x effect2_j) rho4),
     evaluated as A T B^T / 4 from the effects' Pauli coordinates (rows of
@@ -173,8 +167,8 @@ def two_party_probabilities(
     is the exact operational statement that observer 2's choice of
     measurement cannot be detected on observer 1's side.
     """
-    _require_valid(povm1, tol)
-    _require_valid(povm2, tol)
+    _require_valid(povm1)
+    _require_valid(povm2)
     if not isinstance(state, TwoQubitState):
         raise InvalidState("expected a TwoQubitState")
     return 0.25 * (povm1._pauli @ state._pauli @ povm2._pauli.T)

@@ -4,7 +4,6 @@ Pauli matrices, Bloch-vector density matrices, two-qubit tensor products
 and closed-form Hermitian eigenvalues.  Dense 2x2 / 4x4 complex matrices
 are the stored, validated form; Born-rule quantities and eigenvalues use
 the real Pauli coordinates (t, r) = Re tr(sigma_mu m) of m = (t + r.sigma)/2.
-The default absolute tolerance for exactness checks is 1e-12.
 """
 
 from __future__ import annotations
@@ -16,7 +15,15 @@ import numpy as np
 
 from .errors import BlochOutOfBall, InvalidState, NotHermitian, NotUnit
 
+# Rounding allowances, the only ones in the package.  ATOL: exactness of
+# inputs and closed forms (Hermiticity, unit trace and norm, Bloch ball,
+# |alpha| <= 1, theta, zero vectors).  TOL: derived quantities and POVMs
+# (validity, clamping, admissibility, saturation, CHSH and slack checks).
 ATOL = 1e-12
+TOL = 1e-10
+# A choice of axis, not a rounding allowance: JointSpec.from_angle leaves
+# the x axis for z once |a.x| exceeds this.
+REFERENCE_AXIS_COS = 1.0 - 1e-9
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -40,19 +47,19 @@ def norm3(v) -> float:
     return math.sqrt(float(arr @ arr))
 
 
-def unit3(v, tol: float = ATOL) -> np.ndarray:
-    """Coerce to a 3-vector and require unit norm within ``tol``."""
+def unit3(v) -> np.ndarray:
+    """Coerce to a 3-vector and require unit norm within ATOL."""
     arr = vec3(v)
     n = norm3(arr)
-    if abs(n - 1.0) > tol:
-        raise NotUnit(f"|v| = {n!r}, expected 1 within {tol}")
+    if abs(n - 1.0) > ATOL:
+        raise NotUnit(f"|v| = {n!r}, expected 1 within {ATOL}")
     return arr
 
 
-def normalize(v, eps: float = 1e-15) -> np.ndarray:
+def normalize(v) -> np.ndarray:
     arr = vec3(v)
     n = norm3(arr)
-    if n < eps:
+    if n < ATOL:
         raise ValueError("cannot normalize a (near-)zero vector")
     return arr / n
 
@@ -63,9 +70,9 @@ def pauli_dot(v) -> np.ndarray:
     return np.array([[z, x - 1j * y], [x + 1j * y, -z]], dtype=complex)
 
 
-def is_hermitian(mat, tol: float = ATOL) -> bool:
+def is_hermitian(mat) -> bool:
     m = np.asarray(mat, dtype=complex)
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+    return bool(np.max(np.abs(m - m.conj().T)) <= ATOL)
 
 
 def _pauli_coordinates(mat) -> np.ndarray:
@@ -88,14 +95,14 @@ def _born(coords, state: QubitState):
     return 0.5 * (coords @ state._pauli)
 
 
-def hermitian_eigenvalues(mat, tol: float = ATOL) -> tuple[float, float]:
+def hermitian_eigenvalues(mat) -> tuple[float, float]:
     """Eigenvalues of a Hermitian 2x2 matrix as an ascending pair,
     (t -+ |r|)/2 from its Pauli coordinates; never takes the square root
     of a negative rounding residue."""
     m = np.asarray(mat, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError("expected a 2x2 matrix")
-    if not is_hermitian(m, tol):
+    if not is_hermitian(m):
         raise NotHermitian("matrix is not Hermitian within tolerance")
     return _coordinate_eigenvalues(_pauli_coordinates(m))
 
@@ -120,7 +127,7 @@ def _density_matrix(rho, dim: int) -> np.ndarray:
         raise InvalidState(f"expected a {dim}x{dim} density matrix, got {m.shape}")
     if not np.all(np.isfinite(m)):
         raise InvalidState("density matrix entries must be finite")
-    if not is_hermitian(m, ATOL):
+    if not is_hermitian(m):
         raise InvalidState("density matrix must be Hermitian")
     tr = complex(np.trace(m))
     if abs(tr - 1.0) > ATOL:
@@ -160,7 +167,7 @@ class TwoQubitState:
     def __post_init__(self):
         m = _density_matrix(self.rho4, 4)
         lo = float(np.linalg.eigvalsh(m)[0])
-        if lo < -1e-10:
+        if lo < -TOL:
             raise InvalidState(f"negative eigenvalue {lo}")
         # _pauli[mu, nu] = Re tr((sigma_mu x sigma_nu) rho4)
         corr = np.einsum("mki,nlj,ijkl->mn", _PAULI, _PAULI, m.reshape(2, 2, 2, 2)).real
@@ -187,10 +194,10 @@ def state_from_bloch(m) -> QubitState:
     return QubitState(0.5 * (ID2 + pauli_dot(arr)))
 
 
-def expectation(obs, state: QubitState, tol: float = ATOL) -> float:
+def expectation(obs, state: QubitState) -> float:
     """Born-rule expectation Re tr(obs rho); obs must be Hermitian."""
     m = np.asarray(obs, dtype=complex)
-    if not is_hermitian(m, tol):
+    if not is_hermitian(m):
         raise NotHermitian("observable must be Hermitian")
     if not isinstance(state, QubitState):
         raise InvalidState("expected a QubitState")

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import CollinearDirections, ZeroAlpha
 from .joint import JointSpec, joint_variances, require_admissible
-from .qubit import QubitState, norm3, unit3
+from .qubit import ATOL, QubitState, norm3, unit3
 
 RELATION_IDS = (
     "product_form",
@@ -57,7 +57,7 @@ def _perp_axis(a, a_prime) -> tuple[np.ndarray, float]:
     """Right-handed unit normal to span{a, a'} and sin(theta) = |a x a'|."""
     cross = np.cross(unit3(a), unit3(a_prime))
     sin_t = norm3(cross)
-    if sin_t < 1e-12:
+    if sin_t < ATOL:
         raise CollinearDirections("a and a_prime are (anti)parallel")
     return cross / sin_t, sin_t
 

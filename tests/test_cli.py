@@ -66,6 +66,10 @@ def test_validate_conflicting_direction_flags(capsys):
         ["validate", "--alpha", "0.5", "--alpha-prime", "nan"],
         ["validate", "--alpha", "0.5", "--alpha-prime", "1.5"],
         ["uncertainty", "--theta-deg", "60", "--samples", "0"],
+        ["bb84", "--theta-deg", "200", "--n", "10", "--seed", "1"],
+        ["bb84", "--theta-deg", "-5", "--n", "10", "--seed", "1"],
+        ["cloning", "--theta-deg", "200"],
+        ["cloning", "--theta-deg", "nan"],
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):

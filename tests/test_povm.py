@@ -14,6 +14,7 @@ from helpers import (
 )
 from spinjoint import (
     ID2,
+    TOL,
     Effect,
     InvalidPovm,
     InvalidState,
@@ -113,6 +114,21 @@ def test_outcome_probabilities_normalized_nonnegative():
         probs = [p for _, p in outcome_probabilities(povm, random_state(rng))]
         assert all(p >= 0.0 for p in probs)
         assert sum(probs) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [1e-11, 1e-9])
+def test_clamping_and_validation_share_one_allowance(d):
+    # effect "a" has eigenvalue -d and Born probability -d on |down>
+    e = np.diag([1.0 + d, -d]).astype(complex)
+    povm = Povm((Effect("a", e), Effect("b", ID2 - e)))
+    down = state_from_bloch((0, 0, -1))
+    if d < TOL:
+        with pytest.warns(RuntimeWarning, match="clamped"):
+            probs = dict(outcome_probabilities(povm, down))
+        assert probs["a"] == 0.0
+    else:
+        with pytest.raises(InvalidPovm):
+            outcome_probabilities(povm, down)
 
 
 def test_outcome_probabilities_rejects_invalid_povm():

@@ -10,6 +10,7 @@ from helpers import (
     random_state,
 )
 from spinjoint import (
+    BoundViolated,
     CollinearDirections,
     JointSpec,
     ZeroAlpha,
@@ -75,6 +76,16 @@ def test_product_form_saturates_exactly_when_bound_does():
             boundary.a, boundary.a_prime, 0.8 * boundary.alpha, 0.8 * boundary.alpha_prime
         )
         assert product_form(interior).slack > 1e-3
+
+
+@pytest.mark.parametrize(
+    "relation", [total_joint, arthurs_goodman, total_vs_goodman_rhs, evaluate_all]
+)
+def test_joint_relations_reject_inadmissible_spec(relation):
+    spec = JointSpec.from_angle(math.pi / 2, 0.8, 0.8)
+    with pytest.raises(BoundViolated) as excinfo:
+        relation(spec, MIXED)
+    assert excinfo.value.min_eigenvalue < 0.0
 
 
 def test_robertson_examples():
