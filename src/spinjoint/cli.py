@@ -23,6 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .correlations import (
+    CorrelationSet,
+    _read_correlations,
     chsh_value,
     joint_correlations,
     optimal_settings,
@@ -37,15 +39,14 @@ from .joint import (
     general_joint_povm,
     is_admissible,
     max_symmetric_alpha,
-    outcome_values,
     product_form_check,
 )
 from .povm import validate as validate_povm
 from .qubit import TOL, normalize, state_from_bloch, vec3
 from .sampling import (
     SeededStream,
+    _analyzer_counts,
     sample_povm,
-    sample_two_party,
     signalling_experiment,
     tally_to_csv,
 )
@@ -130,7 +131,9 @@ def _resolve_spec(parser: argparse.ArgumentParser, args) -> JointSpec:
         theta = math.radians(90.0 if args.theta_deg is None else args.theta_deg)
     alpha = args.alpha
     alpha_prime = args.alpha_prime if args.alpha_prime is not None else alpha
-    if alpha == "optimal-symmetric" or alpha_prime == "optimal-symmetric":
+    if (alpha == "optimal-symmetric") != (alpha_prime == "optimal-symmetric"):
+        parser.error("--alpha and --alpha-prime: two numbers or 'optimal-symmetric' for both")
+    if alpha == "optimal-symmetric":
         alpha = alpha_prime = max_symmetric_alpha(theta)
     if args.a_prime is not None:
         return JointSpec(args.a, args.a_prime, alpha, alpha_prime)
@@ -146,10 +149,13 @@ def _fmt(value) -> str:
 
 
 def _emit(args, text: str) -> None:
-    if args.out is not None:
-        args.out.write_text(text)
-    else:
+    if args.out is None:
         sys.stdout.write(text)
+        return
+    try:
+        args.out.write_text(text)
+    except OSError as exc:
+        build_parser().error(f"cannot write --out {args.out}: {exc.strerror}")
 
 
 def _emit_rows(args, rows: list[dict]) -> None:
@@ -233,16 +239,10 @@ def cmd_chsh(parser, args) -> int:
         "sharp_reference": sharp_ref,
     }
     if args.n is not None:
-        stream = SeededStream(args.seed)
-        povm = general_joint_povm(spec)
-        tally_b = sample_two_party(povm, settings.b, args.n, stream)
-        tally_bp = sample_two_party(povm, settings.b_prime, args.n, stream, offset=args.n)
-        emp = [
-            tally.correlation(lambda label, k=k: outcome_values(label)[k]).mean
-            for tally in (tally_b, tally_bp)
-            for k in (0, 1)
-        ]
-        record["chsh_empirical"] = abs(emp[0] + emp[1]) + abs(emp[2] - emp[3])
+        counts = _analyzer_counts(spec, settings, args.n, SeededStream(args.seed))
+        # integer sums first, one division: the empirical means exactly
+        empirical = _read_correlations(*counts) / args.n
+        record["chsh_empirical"] = chsh_value(CorrelationSet(*empirical))
         record["n"] = args.n
         record["seed"] = args.seed
     _emit_record(args, record)

@@ -117,16 +117,20 @@ def _analyzer_tables(spec: JointSpec, settings: Settings):
     return values, tables
 
 
+def _read_correlations(values, tables) -> np.ndarray:
+    """(E(A_J,B), E(A'_J,B), E(A_J,B'), E(A'_J,B')) from the two analyzer
+    tables, whose columns are the analyzer outcomes +1, -1: probabilities
+    give the correlations, counts of n trials give n times them."""
+    return np.concatenate([values.T @ (t[:, 0] - t[:, 1]) for t in tables])
+
+
 def born_correlations(spec: JointSpec, settings: Settings) -> CorrelationSet:
     """Same correlation set computed the long way: four-outcome joint
     measurement paired with each analyzer in the Born rule on the singlet.
 
     Independent cross-check of ``joint_correlations``.
     """
-    values, tables = _analyzer_tables(spec, settings)
-    # analyzer labels are ("+", "-") in column order
-    (e_ab, e_apb), (e_abp, e_apbp) = [values.T @ (p[:, 0] - p[:, 1]) for p in tables]
-    return CorrelationSet(e_ab, e_apb, e_abp, e_apbp)
+    return CorrelationSet(*_read_correlations(*_analyzer_tables(spec, settings)))
 
 
 def chsh_value(corr: CorrelationSet) -> float:

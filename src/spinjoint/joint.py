@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -40,11 +40,13 @@ from .qubit import (ATOL, ID2, REFERENCE_AXIS_COS, TOL, QubitState, _freeze,
 OUTCOME_LABELS = ("++", "--", "+-", "-+")
 
 
-def outcome_values(label: str) -> tuple[int, int]:
-    """Decode a two-character outcome label into (+-1, +-1)."""
-    if len(label) != 2 or any(ch not in "+-" for ch in label):
-        raise ValueError(f"not a joint-outcome label: {label!r}")
-    return (1 if label[0] == "+" else -1, 1 if label[1] == "+" else -1)
+def outcome_values(label: str) -> tuple[int, ...]:
+    """Decode an outcome label into one +-1 per character: "+-" -> (1, -1).
+
+    The package's only reading of "+" and "-" labels."""
+    if not label or set(label) - {"+", "-"}:
+        raise ValueError(f"not an outcome label: {label!r}")
+    return tuple(1 if ch == "+" else -1 for ch in label)
 
 
 def _check_sharpness(name: str, value: float) -> None:
@@ -57,8 +59,7 @@ class JointSpec:
     """Parameters of a joint measurement: directions a, a_prime and
     sharpness factors alpha, alpha_prime.
 
-    ``theta`` is always derived from a.a_prime; a caller-supplied value is
-    rejected unless consistent, keeping a single source of truth.
+    ``theta`` is derived from a.a_prime and cannot be passed.
     Negative sharpness factors are permitted (the admissibility region
     only sees their moduli); they describe outcomes tracking the
     observables anti-proportionally.
@@ -68,7 +69,7 @@ class JointSpec:
     a_prime: np.ndarray
     alpha: float
     alpha_prime: float
-    theta: float | None = None
+    theta: float = field(init=False)
 
     def __post_init__(self):
         a = unit3(self.a)
@@ -77,18 +78,10 @@ class JointSpec:
         alpha_p = float(self.alpha_prime)
         for name, val in (("alpha", alpha), ("alpha_prime", alpha_p)):
             _check_sharpness(name, val)
-        cos_t = float(np.clip(a @ ap, -1.0, 1.0))
-        derived = math.acos(cos_t)
-        if self.theta is not None:
-            given = float(self.theta)
-            if not 0.0 <= given <= math.pi or abs(math.cos(given) - cos_t) > ATOL:
-                raise ValueError(
-                    f"theta = {given} inconsistent with a.a_prime = {cos_t}"
-                )
         _freeze(self, a=a, a_prime=ap)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "alpha_prime", alpha_p)
-        object.__setattr__(self, "theta", derived)
+        object.__setattr__(self, "theta", math.acos(float(np.clip(a @ ap, -1.0, 1.0))))
 
     @property
     def cos_theta(self) -> float:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import Settings, singlet
-from .joint import JointSpec, general_joint_povm, outcome_values
+from .correlations import Settings, _analyzer_tables, singlet
+from .joint import JointSpec, outcome_values
 from .povm import Povm, outcome_probabilities, projective_povm, two_party_probabilities
 from .qubit import QubitState, unit3
 
@@ -71,15 +71,19 @@ class SampleStats:
 def sample_indices(probabilities, uniforms) -> np.ndarray:
     """Inverse-CDF lookup of outcome indices for given uniforms.
 
-    Tiny negative probabilities are clamped at zero and the last bin is
-    stretched to cover 1.0 exactly, so rounding cannot push a draw out of
-    range.
+    Tiny negative probabilities are clamped at zero.  Every draw at or
+    above the last inner boundary of the cumulative sum goes to the last
+    outcome, so a total that rounds below 1 cannot push a draw out of range.
     """
     p = np.maximum(np.asarray(probabilities, dtype=float), 0.0)
-    cum = np.cumsum(p)
-    cum[-1] = max(cum[-1], 1.0)
-    idx = np.searchsorted(cum, np.asarray(uniforms), side="right")
-    return np.minimum(idx, len(p) - 1)
+    return np.searchsorted(np.cumsum(p)[:-1], np.asarray(uniforms), side="right")
+
+
+def _tally(probabilities, uniforms) -> np.ndarray:
+    """Outcome counts of the draws ``uniforms``: the package's one
+    draw-and-count step."""
+    return np.bincount(sample_indices(probabilities, uniforms),
+                       minlength=len(probabilities))
 
 
 def _stats_from_values(labels, tallies, values) -> SampleStats:
@@ -100,7 +104,7 @@ def _stats_from_values(labels, tallies, values) -> SampleStats:
 
 def _default_value(label: str) -> float:
     # first outcome slot read as +-1
-    return 1.0 if label[0] == "+" else -1.0
+    return float(outcome_values(label)[0])
 
 
 def sample_povm(
@@ -121,10 +125,8 @@ def sample_povm(
     if n < 1:
         raise ValueError("n must be >= 1")
     value_of = value_of or _default_value
-    probs = outcome_probabilities(povm, state)
-    labels = [label for label, _ in probs]
-    idx = sample_indices([p for _, p in probs], stream.uniforms(offset, n))
-    tallies = np.bincount(idx, minlength=len(labels))
+    labels, probs = zip(*outcome_probabilities(povm, state))
+    tallies = _tally(probs, stream.uniforms(offset, n))
     return _stats_from_values(labels, tallies, [value_of(l) for l in labels])
 
 
@@ -158,16 +160,24 @@ def sample_two_party(
         raise ValueError("n must be >= 1")
     povm2 = projective_povm(unit3(setting))
     probs = two_party_probabilities(povm1, povm2, singlet())
-    flat = probs.reshape(-1)
-    idx = sample_indices(flat, stream.uniforms(offset, n))
-    tallies = np.bincount(idx, minlength=flat.size)
-    keys = [
-        (l1, 1 if l2 == "+" else -1)
-        for l1 in povm1.labels
-        for l2 in povm2.labels
-    ]
+    tallies = _tally(probs.reshape(-1), stream.uniforms(offset, n))
+    keys = [(l1, outcome_values(l2)[0]) for l1 in povm1.labels for l2 in povm2.labels]
     counts = {k: int(c) for k, c in zip(keys, tallies)}
     return TwoPartyTally(n=n, counts=counts)
+
+
+def _analyzer_counts(spec: JointSpec, settings: Settings, n: int, stream: SeededStream):
+    """Monte Carlo twin of ``correlations._analyzer_tables``: the outcome
+    values and, per analyzer, the counts of n singlet trials in a table of
+    the same shape.  Analyzer b uses draws [0, n), b_prime [n, 2n)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    values, tables = _analyzer_tables(spec, settings)
+    counts = [
+        _tally(p.reshape(-1), stream.uniforms(k * n, n)).reshape(p.shape)
+        for k, p in enumerate(tables)
+    ]
+    return values, counts
 
 
 @dataclass(frozen=True)
@@ -192,27 +202,18 @@ def signalling_experiment(
     The analytic rates are identical, so the z-score is that of a true
     null; |z| staying small is the Monte Carlo no-signalling check.
     """
-    povm1 = general_joint_povm(spec)
-    branch_stats = []
-    equal_counts = []
-    for k, direction in enumerate((settings.b, settings.b_prime)):
-        tally = sample_two_party(povm1, direction, n, stream, offset=k * n)
-        equal = sum(
-            c for (l1, _), c in tally.counts.items()
-            if outcome_values(l1)[0] == outcome_values(l1)[1]
-        )
-        stats = _stats_from_values(
-            ["equal", "unequal"], [equal, n - equal], [1.0, 0.0]
-        )
-        branch_stats.append(stats)
-        equal_counts.append(equal)
-    pooled = (equal_counts[0] + equal_counts[1]) / (2 * n)
+    values, counts = _analyzer_counts(spec, settings, n, stream)
+    same = values[:, 0] == values[:, 1]
+    equal_counts = [int(c[same].sum()) for c in counts]
+    stats_b, stats_b_prime = [
+        _stats_from_values(["equal", "unequal"], [equal, n - equal], [1.0, 0.0])
+        for equal in equal_counts
+    ]
+    pooled = sum(equal_counts) / (2 * n)
     denom = math.sqrt(max(pooled * (1.0 - pooled) * 2.0 / n, 0.0))
-    diff = branch_stats[0].mean - branch_stats[1].mean
+    diff = stats_b.mean - stats_b_prime.mean
     z = 0.0 if diff == 0.0 else (math.inf if denom == 0.0 else diff / denom)
-    return SignallingResult(
-        stats_b=branch_stats[0], stats_b_prime=branch_stats[1], z_score=z
-    )
+    return SignallingResult(stats_b=stats_b, stats_b_prime=stats_b_prime, z_score=z)
 
 
 def _format_g(x: float) -> str:

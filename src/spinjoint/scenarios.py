@@ -22,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EtaOutOfRange
-from .joint import JointSpec, max_symmetric_alpha, optimal_joint_povm
+from .joint import JointSpec, max_symmetric_alpha, optimal_joint_povm, outcome_values
 from .povm import outcome_probabilities
 from .qubit import state_from_bloch
-from .sampling import SeededStream, sample_indices
+from .sampling import SeededStream, _tally
 
 CLONER_ETA_MAX = 2.0 / 3.0
 
@@ -97,23 +97,18 @@ def bb84_eve(
     bits = stream.uniforms(trials, trials) < 0.5  # False: +, True: -
     outcome_u = stream.uniforms(2 * trials, trials)
 
+    values = np.array([outcome_values(label) for label in povm.labels])
     successes = 0
     for use_prime in (False, True):
         direction = spec.a_prime if use_prime else spec.a
-        slot = 1 if use_prime else 0
         for minus in (False, True):
             mask = (basis == use_prime) & (bits == minus)
-            count = int(mask.sum())
-            if count == 0:
-                continue
             state = state_from_bloch(-direction if minus else direction)
             probs = [p for _, p in outcome_probabilities(povm, state)]
-            idx = sample_indices(probs, outcome_u[mask])
-            signs = np.array(
-                [1 if label[slot] == "+" else -1 for label in povm.labels]
-            )
+            counts = _tally(probs, outcome_u[mask])
+            # success: the announced basis's slot equals the prepared bit
             wanted = -1 if minus else 1
-            successes += int(np.sum(signs[idx] == wanted))
+            successes += int(counts[values[:, int(use_prime)] == wanted].sum())
 
     alpha = spec.alpha
     return Bb84EveReport(

@@ -70,6 +70,9 @@ def test_validate_conflicting_direction_flags(capsys):
         ["bb84", "--theta-deg", "-5", "--n", "10", "--seed", "1"],
         ["cloning", "--theta-deg", "200"],
         ["cloning", "--theta-deg", "nan"],
+        ["chsh", "--alpha-prime", "0.3"],
+        ["validate", "--alpha", "0.9", "--alpha-prime", "optimal-symmetric"],
+        ["signal", "--alpha", "optimal-symmetric", "--alpha-prime", "0.5", "--n", "10", "--seed", "1"],
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -80,6 +83,20 @@ def test_usage_errors_exit_2(capsys, argv):
     assert out.out == ""
     assert out.err.startswith("usage: spinjoint")
     assert "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["scan-theta", "--points", "5"]])
+def test_out_into_missing_directory_exits_2(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "x"
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--out", str(target)])
+    out = capsys.readouterr()
+    assert excinfo.value.code == 2
+    assert out.out == ""
+    assert out.err.startswith("usage: spinjoint")
+    assert str(target) in out.err
+    assert "Traceback" not in out.err
+    assert not target.parent.exists()
 
 
 def test_scan_theta_deterministic_and_correct(capsys):

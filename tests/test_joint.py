@@ -327,10 +327,19 @@ def test_boundary_specs_saturate_exactly():
 def test_joint_spec_validation():
     with pytest.raises(ValueError):
         JointSpec(X, Z, 1.2, 0.5)
-    with pytest.raises(ValueError):
-        JointSpec(X, Z, 0.5, 0.5, theta=0.3)  # inconsistent with orthogonal pair
-    spec = JointSpec(X, Z, 0.5, 0.5, theta=math.pi / 2)
-    assert spec.theta == pytest.approx(math.pi / 2, abs=1e-12)
+    # theta is derived from a.a_prime, never passed
+    assert JointSpec(X, Z, 0.5, 0.5).theta == pytest.approx(math.pi / 2, abs=1e-12)
+    with pytest.raises(TypeError):
+        JointSpec(X, Z, 0.5, 0.5, theta=math.pi / 2)
+
+
+def test_outcome_values_decodes_plus_minus_labels():
+    assert outcome_values("+") == (1,)
+    assert outcome_values("-") == (-1,)
+    assert outcome_values("+-") == (1, -1)
+    for label in ("", "+x", "0"):
+        with pytest.raises(ValueError):
+            outcome_values(label)
 
 
 def test_joint_spec_from_angle_geometry():

@@ -13,6 +13,7 @@ from spinjoint import (
     joint_correlations,
     optimal_joint_povm,
     optimal_settings,
+    outcome_values,
     projective_povm,
     sample_indices,
     sample_povm,
@@ -153,6 +154,28 @@ def test_sample_two_party_sharp_anticorrelation():
         for (l1, b), count in tally.counts.items()
         if (1 if l1 == "+" else -1) == b
     )
+
+
+def test_analyzer_counts_match_two_party_tallies():
+    # the shared two-analyzer run draws b from [0, n) and b_prime from [n, 2n)
+    from spinjoint.sampling import _analyzer_counts
+
+    rng = np.random.default_rng(89)
+    for seed, n in ((0, 1), (17, 50), (31, 4000)):
+        spec = random_admissible_spec(rng)
+        settings = Settings(random_unit(rng), random_unit(rng))
+        stream = SeededStream(seed)
+        values, counts = _analyzer_counts(spec, settings, n, stream)
+        povm = general_joint_povm(spec)
+        assert [tuple(v) for v in values] == [outcome_values(l) for l in povm.labels]
+        for k, direction in enumerate((settings.b, settings.b_prime)):
+            tally = sample_two_party(povm, direction, n, stream, offset=k * n)
+            assert counts[k].shape == (4, 2)
+            assert counts[k].sum() == n
+            expected = [[tally.counts[(l1, b)] for b in (1, -1)] for l1 in povm.labels]
+            assert counts[k].tolist() == expected
+    with pytest.raises(ValueError):
+        _analyzer_counts(spec, settings, 0, stream)
 
 
 def test_signalling_experiment_null():

@@ -5,11 +5,16 @@ import pytest
 
 from spinjoint import (
     EtaOutOfRange,
+    JointSpec,
     SeededStream,
     bb84_eve,
     cloning_joint,
     max_symmetric_alpha,
     min_cloning_gap,
+    optimal_joint_povm,
+    outcome_probabilities,
+    sample_indices,
+    state_from_bloch,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -85,3 +90,32 @@ def test_bb84_eve_reproducible():
     a = bb84_eve(5_000, SeededStream(25))
     b = bb84_eve(5_000, SeededStream(25))
     assert a.empirical_success == b.empirical_success
+
+
+@pytest.mark.parametrize("theta", [0.0, math.pi / 4, math.pi / 2])
+@pytest.mark.parametrize("n", [1, 7, 1000])
+def test_bb84_eve_matches_per_draw_recount(theta, n):
+    # draws [0, 4n) pick the basis, [4n, 8n) the bit, [8n, 12n) the outcome;
+    # n = 1 leaves some basis/bit cells empty
+    stream = SeededStream(26)
+    report = bb84_eve(n, stream, theta=theta)
+    trials = 4 * n
+    spec = JointSpec.from_angle(theta, *(max_symmetric_alpha(theta),) * 2)
+    povm = optimal_joint_povm(spec)
+    basis = stream.uniforms(0, trials) < 0.5
+    bits = stream.uniforms(trials, trials) < 0.5
+    outcome_u = stream.uniforms(2 * trials, trials)
+    probs = {}
+    successes = 0
+    for use_prime, minus, u in zip(basis, bits, outcome_u):
+        cell = (bool(use_prime), bool(minus))
+        if cell not in probs:
+            direction = spec.a_prime if use_prime else spec.a
+            state = state_from_bloch(-direction if minus else direction)
+            probs[cell] = [p for _, p in outcome_probabilities(povm, state)]
+        label = povm.labels[int(sample_indices(probs[cell], [u])[0])]
+        successes += label[int(use_prime)] == ("-" if minus else "+")
+    assert report.empirical_success == successes / trials
+    assert report.n_trials == trials
+    if n == 1:
+        assert len(probs) < 4

@@ -1,0 +1,71 @@
+"""Each Monte Carlo decision has one owner in spinjoint: draws become
+counts only in ``sampling._tally`` (through ``sample_indices``), "+"/"-"
+labels are read only by ``joint.outcome_values``, and ``chsh --n`` and
+``signal`` share one two-analyzer run."""
+
+import ast
+from pathlib import Path
+
+import spinjoint
+
+SRC = Path(spinjoint.__file__).parent
+
+# referenced name -> the one (module file, function) allowed to use it
+OWNERS = {
+    "bincount": ("sampling.py", "_tally"),
+    "searchsorted": ("sampling.py", "sample_indices"),
+}
+LABEL_DECODER = ("joint.py", "outcome_values")
+
+
+def _nodes():
+    """(module file, innermost enclosing function or None, node) for every
+    node in the package."""
+    for path in sorted(SRC.glob("*.py")):
+        stack = [(ast.parse(path.read_text()), None)]
+        while stack:
+            node, func = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                func = node.name
+            yield path.name, func, node
+            stack.extend((child, func) for child in ast.iter_child_nodes(node))
+
+
+def _name(node):
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.alias):
+        return node.name
+    return None
+
+
+def test_one_draw_and_count_site():
+    found = [
+        f"{path}:{func}: {_name(node)}"
+        for path, func, node in _nodes()
+        if _name(node) in OWNERS and (path, func) != OWNERS[_name(node)]
+    ]
+    assert found == []
+
+
+def test_one_label_decoder():
+    found = [
+        f"{path}:{node.lineno} in {func}"
+        for path, func, node in _nodes()
+        if isinstance(node, ast.Compare)
+        and (path, func) != LABEL_DECODER
+        and any(
+            isinstance(x, ast.Constant) and x.value in ("+", "-")
+            for x in (node.left, *node.comparators)
+        )
+    ]
+    assert found == []
+
+
+def test_two_analyzer_runs_share_one_kernel():
+    for owner in (("cli.py", "cmd_chsh"), ("sampling.py", "signalling_experiment")):
+        names = {_name(node) for path, func, node in _nodes() if (path, func) == owner}
+        assert "_analyzer_counts" in names, owner
+        assert not {"sample_two_party", "correlation"} & names, owner
