@@ -4,7 +4,8 @@ Draws come from a counter-addressable Philox stream keyed by
 (seed, stream_id): the i-th uniform of a stream is a pure function of
 (seed, stream_id, i).  Trial ranges can therefore be evaluated in chunks
 or fanned out across workers and the merged tallies are identical to a
-serial run, for any partition.
+serial run, for any partition.  Every tally is taken over blocks of at
+most ``_BLOCK`` draws, so memory does not grow with n.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .qubit import QubitState, unit3
 
 GENERATOR_NAME = "Philox"
 _WORDS_PER_COUNTER = 4  # Philox emits 4 64-bit words per counter step
+_BLOCK = 1 << 20  # draws held in memory at once: 8 MiB of doubles
 
 
 @dataclass(frozen=True)
@@ -81,9 +83,22 @@ def sample_indices(probabilities, uniforms) -> np.ndarray:
 
 def _tally(probabilities, uniforms) -> np.ndarray:
     """Outcome counts of the draws ``uniforms``: the package's one
-    draw-and-count step."""
-    return np.bincount(sample_indices(probabilities, uniforms),
-                       minlength=len(probabilities))
+    draw-and-count step.
+
+    ``below[k]`` draws fall under the inner boundary ``cum[k]``, so outcome
+    k gets ``below[k] - below[k - 1]``: the same counts as binning
+    ``sample_indices``, without sorting or indexing every draw.
+    """
+    cum = np.cumsum(np.maximum(np.asarray(probabilities, dtype=float), 0.0))[:-1]
+    below = [np.count_nonzero(uniforms < c) for c in cum]
+    return np.diff([0, *below, len(uniforms)])
+
+
+def _blocks(stream: SeededStream, offset: int, n: int):
+    """Draws [offset, offset + n) of ``stream``, in blocks of at most
+    ``_BLOCK``."""
+    for start in range(0, n, _BLOCK):
+        yield stream.uniforms(offset + start, min(_BLOCK, n - start))
 
 
 def _stats_from_values(labels, tallies, values) -> SampleStats:
@@ -126,7 +141,7 @@ def sample_povm(
         raise ValueError("n must be >= 1")
     value_of = value_of or _default_value
     labels, probs = zip(*outcome_probabilities(povm, state))
-    tallies = _tally(probs, stream.uniforms(offset, n))
+    tallies = sum(_tally(probs, u) for u in _blocks(stream, offset, n))
     return _stats_from_values(labels, tallies, [value_of(l) for l in labels])
 
 
@@ -160,7 +175,7 @@ def sample_two_party(
         raise ValueError("n must be >= 1")
     povm2 = projective_povm(unit3(setting))
     probs = two_party_probabilities(povm1, povm2, singlet())
-    tallies = _tally(probs.reshape(-1), stream.uniforms(offset, n))
+    tallies = sum(_tally(probs.reshape(-1), u) for u in _blocks(stream, offset, n))
     keys = [(l1, outcome_values(l2)[0]) for l1 in povm1.labels for l2 in povm2.labels]
     counts = {k: int(c) for k, c in zip(keys, tallies)}
     return TwoPartyTally(n=n, counts=counts)
@@ -174,7 +189,7 @@ def _analyzer_counts(spec: JointSpec, settings: Settings, n: int, stream: Seeded
         raise ValueError("n must be >= 1")
     values, tables = _analyzer_tables(spec, settings)
     counts = [
-        _tally(p.reshape(-1), stream.uniforms(k * n, n)).reshape(p.shape)
+        sum(_tally(p.reshape(-1), u) for u in _blocks(stream, k * n, n)).reshape(p.shape)
         for k, p in enumerate(tables)
     ]
     return values, counts

@@ -25,7 +25,7 @@ from .errors import EtaOutOfRange
 from .joint import JointSpec, max_symmetric_alpha, optimal_joint_povm, outcome_values
 from .povm import outcome_probabilities
 from .qubit import state_from_bloch
-from .sampling import SeededStream, _tally
+from .sampling import SeededStream, _blocks, _tally
 
 CLONER_ETA_MAX = 2.0 / 3.0
 
@@ -93,22 +93,28 @@ def bb84_eve(
     povm = optimal_joint_povm(spec)
     trials = 4 * n
 
-    basis = stream.uniforms(0, trials) < 0.5  # False: a-basis, True: a'-basis
-    bits = stream.uniforms(trials, trials) < 0.5  # False: +, True: -
-    outcome_u = stream.uniforms(2 * trials, trials)
-
     values = np.array([outcome_values(label) for label in povm.labels])
-    successes = 0
+    cells = []  # (use_prime, minus, outcome probabilities, success outcomes)
     for use_prime in (False, True):
         direction = spec.a_prime if use_prime else spec.a
         for minus in (False, True):
-            mask = (basis == use_prime) & (bits == minus)
             state = state_from_bloch(-direction if minus else direction)
             probs = [p for _, p in outcome_probabilities(povm, state)]
-            counts = _tally(probs, outcome_u[mask])
             # success: the announced basis's slot equals the prepared bit
-            wanted = -1 if minus else 1
-            successes += int(counts[values[:, int(use_prime)] == wanted].sum())
+            wanted = values[:, int(use_prime)] == (-1 if minus else 1)
+            cells.append((use_prime, minus, probs, wanted))
+
+    # basis, bit and outcome draws come from [0, trials), [trials, 2 trials)
+    # and [2 trials, 3 trials), walked in lock-step blocks
+    successes = 0
+    for basis_u, bits_u, outcome_u in zip(
+        *(_blocks(stream, k * trials, trials) for k in range(3))
+    ):
+        basis = basis_u < 0.5  # False: a-basis, True: a'-basis
+        bits = bits_u < 0.5  # False: +, True: -
+        for use_prime, minus, probs, wanted in cells:
+            mask = (basis == use_prime) & (bits == minus)
+            successes += int(_tally(probs, outcome_u[mask])[wanted].sum())
 
     alpha = spec.alpha
     return Bb84EveReport(

@@ -19,7 +19,6 @@ translation of the 2 sqrt(2) correlation ceiling and admits al = al' = 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

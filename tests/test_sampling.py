@@ -1,14 +1,18 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from helpers import random_admissible_spec, random_unit
 from spinjoint import (
+    ATOL,
+    TOL,
     JointSpec,
     SeededStream,
     Settings,
+    bb84_eve,
     general_joint_povm,
     joint_correlations,
     optimal_joint_povm,
@@ -22,6 +26,8 @@ from spinjoint import (
     state_from_bloch,
     tally_to_csv,
 )
+from spinjoint import sampling
+from spinjoint.sampling import _tally
 
 X = np.array([1.0, 0.0, 0.0])
 Z = np.array([0.0, 0.0, 1.0])
@@ -56,6 +62,79 @@ def test_sample_indices_covers_edges():
     # clamped negative and stretched final bin
     idx = sample_indices([1.0, -1e-15], np.array([1.0 - 1e-16]))
     assert idx.tolist() == [0]
+
+
+def test_tally_matches_sample_indices_oracle():
+    # binning the searchsorted indices is the independent reference; the
+    # draws include every inner boundary itself, 0 and values just below 1
+    rng = np.random.default_rng(4242)
+    for _ in range(300):
+        k = int(rng.integers(2, 9))
+        kind = rng.integers(0, 3, size=k)  # 0: clamped negative, 1: zero, 2: positive
+        kind[rng.integers(k)] = 2
+        p = np.where(kind == 0, -rng.uniform(0.0, TOL, size=k), 0.0)
+        positive = kind == 2
+        p[positive] = rng.dirichlet(np.ones(positive.sum())) * (1.0 - rng.uniform(0.0, ATOL))
+        cum = np.cumsum(np.maximum(p, 0.0))[:-1]
+        u = np.concatenate(
+            [cum, cum, [0.0, 1.0 - ATOL, np.nextafter(1.0, 0.0)], rng.random(40)]
+        )
+        rng.shuffle(u)
+        expected = np.bincount(sample_indices(p, u), minlength=k)
+        assert _tally(p, u).tolist() == expected.tolist()
+        assert _tally(p, u[:0]).tolist() == [0] * k
+
+
+@pytest.mark.parametrize("block, n", [(1, 13), (7, 100), (1000, 2503)])
+def test_tallies_do_not_depend_on_block_size(monkeypatch, block, n):
+    # n is not a multiple of the block; at the default block size every
+    # call below is a single block
+    assert n < sampling._BLOCK
+    spec = JointSpec(X, Z, 0.4, 0.6)
+    povm = general_joint_povm(spec)
+    state = state_from_bloch((0.2, 0.1, -0.3))
+    settings = Settings(random_unit(np.random.default_rng(3)), Z)
+    stream = SeededStream(41, 2)
+
+    def run():
+        return (
+            sample_povm(povm, state, n, stream, offset=5),
+            sample_two_party(povm, settings.b, n, stream, offset=3),
+            signalling_experiment(spec, settings, n, stream),
+            bb84_eve(n, stream, theta=math.pi / 3),
+        )
+
+    whole = run()
+    monkeypatch.setattr(sampling, "_BLOCK", block)
+    assert run() == whole
+
+
+def test_memory_does_not_grow_with_n():
+    # draws are held one block at a time, so going from 2 to 8 blocks of
+    # trials adds (almost) nothing to the peak; bb84_eve runs 4n trials
+    spec = JointSpec(X, Z, 0.4, 0.6)
+    povm = general_joint_povm(spec)
+    state = state_from_bloch((0.2, 0.1, -0.3))
+    settings = optimal_settings(spec)
+    stream = SeededStream(43)
+    runs = (
+        lambda trials: sample_povm(povm, state, trials, stream),
+        lambda trials: signalling_experiment(spec, settings, trials, stream),
+        lambda trials: bb84_eve(trials // 4, stream),
+    )
+
+    def peak(run, trials):
+        tracemalloc.start()
+        try:
+            run(trials)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for run in runs:
+        run(4)  # caches and first-call set-up stay out of the measurement
+        small, large = peak(run, 2 * sampling._BLOCK), peak(run, 8 * sampling._BLOCK)
+        assert large - small <= 1 << 20, (small, large)
 
 
 def test_sample_povm_deterministic_outcome():

@@ -1,7 +1,8 @@
-"""Each Monte Carlo decision has one owner in spinjoint: draws become
-counts only in ``sampling._tally`` (through ``sample_indices``), "+"/"-"
-labels are read only by ``joint.outcome_values``, and ``chsh --n`` and
-``signal`` share one two-analyzer run."""
+"""Each Monte Carlo decision has one owner in spinjoint: draws come only
+from ``SeededStream.uniforms``, they become counts only in
+``sampling._tally`` (``sample_indices`` keeps the public index lookup),
+"+"/"-" labels are read only by ``joint.outcome_values``, and ``chsh --n``
+and ``signal`` share one two-analyzer run."""
 
 import ast
 from pathlib import Path
@@ -13,7 +14,10 @@ SRC = Path(spinjoint.__file__).parent
 # referenced name -> the one (module file, function) allowed to use it
 OWNERS = {
     "bincount": ("sampling.py", "_tally"),
+    "count_nonzero": ("sampling.py", "_tally"),
     "searchsorted": ("sampling.py", "sample_indices"),
+    "Philox": ("sampling.py", "uniforms"),
+    "SeedSequence": ("sampling.py", "uniforms"),
 }
 LABEL_DECODER = ("joint.py", "outcome_values")
 
