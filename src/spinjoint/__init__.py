@@ -108,7 +108,6 @@ from .uncertainty import (
     robertson,
     schroedinger,
     total_joint,
-    total_vs_goodman_rhs,
 )
 
 __version__ = "0.1.0"

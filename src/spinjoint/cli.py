@@ -44,6 +44,7 @@ from .joint import (
 from .povm import validate as validate_povm
 from .qubit import TOL, normalize, state_from_bloch, vec3
 from .sampling import (
+    GENERATOR_NAME,
     SeededStream,
     _analyzer_counts,
     sample_povm,
@@ -91,6 +92,15 @@ def _degrees(text: str) -> float:
     return value
 
 
+def _out_path(text: str) -> Path:
+    # a missing directory is caught here, before the command runs; other
+    # write errors (permissions, a directory as target) surface in _emit
+    path = Path(text)
+    if not path.parent.is_dir():
+        raise argparse.ArgumentTypeError(f"cannot write {text}: no directory {path.parent}")
+    return path
+
+
 def _int_at_least(low: int):
     def integer(text: str) -> int:
         value = int(text)  # argparse reports a ValueError as "invalid integer value"
@@ -118,7 +128,8 @@ def _add_spec_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_output_flags(sub: argparse.ArgumentParser, default_format: str) -> None:
-    sub.add_argument("--out", type=Path, default=None, help="output path (default stdout)")
+    sub.add_argument("--out", type=_out_path, default=None,
+                     help="output path in an existing directory (default stdout)")
     sub.add_argument("--format", choices=("csv", "json"), default=default_format)
 
 
@@ -282,7 +293,7 @@ def cmd_signal(parser, args) -> int:
         "z_score": result.z_score,
         "n": args.n,
         "seed": args.seed,
-        "generator": "Philox",
+        "generator": GENERATOR_NAME,
     }
     _emit_record(args, record)
     return 0 if abs(result.z_score) < 5.0 else 1

@@ -30,7 +30,7 @@ from .joint import (
     outcome_values,
     require_admissible,
 )
-from .povm import projective_povm, two_party_probabilities
+from .povm import Povm, projective_povm, two_party_probabilities
 from .qubit import ATOL, TOL, TwoQubitState, _freeze, unit3
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -47,6 +47,12 @@ class Settings:
 
     def __post_init__(self):
         _freeze(self, b=unit3(self.b), b_prime=unit3(self.b_prime))
+
+    @functools.cached_property
+    def _analyzers(self) -> tuple[Povm, Povm]:
+        """Sharp analyzer POVMs along b and b_prime, built on first use and
+        kept: the settings are frozen."""
+        return projective_povm(self.b), projective_povm(self.b_prime)
 
 
 @dataclass(frozen=True)
@@ -110,10 +116,7 @@ def _analyzer_tables(spec: JointSpec, settings: Settings):
     povm1 = general_joint_povm(spec)
     state = singlet()
     values = np.array([outcome_values(label) for label in povm1.labels])
-    tables = [
-        two_party_probabilities(povm1, projective_povm(direction), state)
-        for direction in (settings.b, settings.b_prime)
-    ]
+    tables = [two_party_probabilities(povm1, povm2, state) for povm2 in settings._analyzers]
     return values, tables
 
 

@@ -20,6 +20,7 @@ chosen by a classical coin of bias p.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -33,8 +34,8 @@ from .errors import (
     NotSaturating,
 )
 from .povm import Effect, Povm, projective_povm
-from .qubit import (ATOL, ID2, REFERENCE_AXIS_COS, TOL, QubitState, _freeze,
-                    normalize, pauli_dot, unit3)
+from .qubit import (ATOL, REFERENCE_AXIS_COS, TOL, QubitState, _freeze, _length,
+                    normalize, unit3)
 
 # Outcome alphabet, first slot tracks a, second slot tracks a_prime.
 OUTCOME_LABELS = ("++", "--", "+-", "-+")
@@ -86,6 +87,14 @@ class JointSpec:
     @property
     def cos_theta(self) -> float:
         return float(self.a @ self.a_prime)
+
+    @functools.cached_property
+    def _general_povm(self) -> Povm:
+        """``general_joint_povm``'s result, built on first use and kept:
+        the spec is frozen, so every caller shares one validated POVM."""
+        d = _spec_diagonals(self)
+        _decide(d)
+        return _four_effects((d.w_plus, d.w_plus, d.w_minus, d.w_minus), d)
 
     @classmethod
     def from_angle(cls, theta: float, alpha: float, alpha_prime: float, a=(0, 0, 1)):
@@ -186,8 +195,7 @@ def _diagonals(a, a_prime, alpha, alpha_prime) -> _Diagonals:
     v_plus = alpha[..., None] * a + alpha_prime[..., None] * a_prime
     v_minus = alpha[..., None] * a - alpha_prime[..., None] * a_prime
     # vecdot rounds as the 1-D ``u @ v`` does, so a batch of one matches it
-    n_plus = np.sqrt(np.vecdot(v_plus, v_plus))
-    n_minus = np.sqrt(np.vecdot(v_minus, v_minus))
+    n_plus, n_minus = _length(v_plus), _length(v_minus)
     c = np.vecdot(a, a_prime)
     x, y, k = alpha**2, alpha_prime**2, alpha * alpha_prime * c
     w_plus, w_minus = 1.0 + k, 1.0 - k
@@ -270,10 +278,11 @@ def max_symmetric_alpha(theta: float) -> float:
 
 
 def _four_effects(weights, d: _Diagonals) -> Povm:
-    """Effects (w +- v.sigma)/4 for v = v_plus (++, --) and v_minus (+-, -+)."""
+    """Effects (w +- v.sigma)/4 for v = v_plus (++, --) and v_minus (+-, -+),
+    from their exact Pauli coordinates (t, r) = (w, +-v)/2."""
     vectors = (d.v_plus, -d.v_plus, d.v_minus, -d.v_minus)
     return Povm(tuple(
-        Effect(label, 0.25 * (w * ID2 + pauli_dot(v)))
+        Effect._from_coordinates(label, 0.5 * w, 0.5 * v)
         for label, w, v in zip(OUTCOME_LABELS, weights, vectors)
     ))
 
@@ -299,10 +308,10 @@ def general_joint_povm(spec: JointSpec) -> Povm:
     the admissibility bound, and an inadmissible spec raises
     BoundViolated carrying the offending eigenvalue.  At saturation this
     family coincides with ``optimal_joint_povm``.
+
+    Built once per spec and kept on it; later calls return the same POVM.
     """
-    d = _spec_diagonals(spec)
-    _decide(d)
-    return _four_effects((d.w_plus, d.w_plus, d.w_minus, d.w_minus), d)
+    return spec._general_povm
 
 
 def admissibility_scan(a, a_prime, alpha, alpha_prime):

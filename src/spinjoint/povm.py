@@ -1,16 +1,19 @@
 """Generalized one-qubit measurements.
 
-An ``Effect`` is one labelled outcome operator; a ``Povm`` is an ordered
-collection of them.  Construction only checks structure (shape,
-Hermiticity), so defective candidates can be built and inspected;
-``validate`` reports positivity and completeness, and the Born-rule
-evaluators refuse POVMs that fail it.  The operator matrix is the stored,
-serialized form; eigenvalues and probabilities come from its Pauli
-coordinates (t, r), taken once at construction.
+An ``Effect`` is one labelled outcome operator (t + r.sigma)/2; a ``Povm``
+is an ordered collection of them.  Effects the package builds start from
+their real Pauli coordinates (t, r) and derive the dense operator ``op``
+on first read.  A user-supplied matrix (``Effect(label, op)``,
+``povm_from_json``) is stored as given after the full checks (shape,
+finite entries, Hermiticity), and its coordinates are read from it once.
+Construction checks only structure, so defective candidates can be built
+and inspected; ``validate`` reports positivity and completeness, once per
+POVM object, and the Born-rule evaluators refuse POVMs that fail it.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 from dataclasses import dataclass
@@ -50,6 +53,23 @@ class Effect:
             raise NotHermitian(f"effect {self.label!r} is not Hermitian")
         _freeze(self, op=m, _pauli=_pauli_coordinates(m))  # op = (t + r.sigma)/2
 
+    @classmethod
+    def _from_coordinates(cls, label: str, t, r) -> Effect:
+        """Effect (t + r.sigma)/2 the package built itself: no checks, and
+        ``op`` is derived on first read."""
+        effect = object.__new__(cls)
+        object.__setattr__(effect, "label", label)
+        _freeze(effect, _pauli=np.array([t, *r], dtype=float))
+        return effect
+
+    def __getattr__(self, name):
+        # reached only when ``op`` was never set, i.e. on the coordinate path
+        if name != "op":
+            raise AttributeError(name)
+        t, *r = self._pauli.tolist()
+        _freeze(self, op=0.5 * (t * ID2 + pauli_dot(r)))
+        return self.op
+
     def min_eigenvalue(self) -> float:
         return _coordinate_eigenvalues(self._pauli)[0]
 
@@ -86,6 +106,27 @@ class Povm:
     def __iter__(self):
         return iter(self.effects)
 
+    @functools.cached_property
+    def _report(self) -> ValidationReport:
+        """``validate``'s report, computed on first use and kept: the
+        effects are frozen, so one check per object is enough."""
+        mins = tuple(e.min_eigenvalue() for e in self.effects)
+        total = np.sum([e.op for e in self.effects], axis=0)
+        defect = float(np.max(np.abs(total - ID2)))
+        failures = []
+        for e, lo in zip(self.effects, mins):
+            if lo < -TOL:
+                failures.append(f"effect {e.label!r} has eigenvalue {lo}")
+        if defect > TOL:
+            failures.append(f"completeness defect {defect}")
+        return ValidationReport(
+            min_eigenvalues=mins,
+            completeness_defect=defect,
+            tolerance=TOL,
+            passes=not failures,
+            failures=tuple(failures),
+        )
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -102,36 +143,21 @@ class ValidationReport:
 def projective_povm(a) -> Povm:
     """Sharp two-outcome measurement along a unit direction: (1 +- a.sigma)/2."""
     u = unit3(a)
-    s = pauli_dot(u)
     return Povm(
-        (Effect("+", 0.5 * (ID2 + s)), Effect("-", 0.5 * (ID2 - s)))
+        (Effect._from_coordinates("+", 1.0, u), Effect._from_coordinates("-", 1.0, -u))
     )
 
 
 def validate(povm: Povm) -> ValidationReport:
-    """Check positivity of every effect and completeness of the sum to TOL."""
-    mins = tuple(e.min_eigenvalue() for e in povm.effects)
-    total = np.sum([e.op for e in povm.effects], axis=0)
-    defect = float(np.max(np.abs(total - ID2)))
-    failures = []
-    for e, lo in zip(povm.effects, mins):
-        if lo < -TOL:
-            failures.append(f"effect {e.label!r} has eigenvalue {lo}")
-    if defect > TOL:
-        failures.append(f"completeness defect {defect}")
-    return ValidationReport(
-        min_eigenvalues=mins,
-        completeness_defect=defect,
-        tolerance=TOL,
-        passes=not failures,
-        failures=tuple(failures),
-    )
+    """Check positivity of every effect and completeness of the sum to TOL.
+
+    Runs once per POVM object; later calls return the same report."""
+    return povm._report
 
 
 def _require_valid(povm: Povm) -> None:
-    report = validate(povm)
-    if not report.passes:
-        raise InvalidPovm("; ".join(report.failures))
+    if not povm._report.passes:
+        raise InvalidPovm("; ".join(povm._report.failures))
 
 
 def outcome_probabilities(povm: Povm, state: QubitState) -> list[tuple[str, float]]:

@@ -1,9 +1,10 @@
 """Exact small-dimension algebra for spin-1/2.
 
 Pauli matrices, Bloch-vector density matrices, two-qubit tensor products
-and closed-form Hermitian eigenvalues.  Dense 2x2 / 4x4 complex matrices
-are the stored, validated form; Born-rule quantities and eigenvalues use
-the real Pauli coordinates (t, r) = Re tr(sigma_mu m) of m = (t + r.sigma)/2.
+and closed-form Hermitian eigenvalues.  Born-rule quantities and
+eigenvalues use the real Pauli coordinates (t, r) = Re tr(sigma_mu m) of
+m = (t + r.sigma)/2.  States keep their dense 2x2 / 4x4 matrices, checked
+at construction, and read their coordinates from them once.
 """
 
 from __future__ import annotations
@@ -82,10 +83,15 @@ def _pauli_coordinates(mat) -> np.ndarray:
     return np.array([(a + d).real, (b + c).real, (c - b).imag, (a - d).real])
 
 
+def _length(v):
+    """|v| = sqrt(v.v) over the last axis: the one norm behind effect
+    eigenvalues and the admissibility kernel, so the two round alike."""
+    return np.sqrt(np.vecdot(v, v))
+
+
 def _coordinate_eigenvalues(coords) -> tuple[float, float]:
     """Ascending eigenvalues (t -+ |r|)/2 of (t + r.sigma)/2."""
-    t, x, y, z = coords.tolist()
-    r = math.hypot(x, y, z)
+    t, r = float(coords[0]), float(_length(coords[1:]))
     return (0.5 * (t - r), 0.5 * (t + r))
 
 

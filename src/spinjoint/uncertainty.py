@@ -115,20 +115,11 @@ def arthurs_goodman(spec: JointSpec, state: QubitState) -> UncertaintyReport:
     """General-observable joint-variance bound, rhs = |<[A, A']>|^2.
 
     For qubits |<a_perp.sigma>| <= 1, so (1 + |x|)^2 >= 4x^2 pointwise
-    and the total_joint bound is never weaker; see
-    ``total_vs_goodman_rhs`` for the per-state comparison.
+    and the ``total_joint`` rhs is never smaller for the same state, with
+    equality at |x| = 1.
     """
     lhs, a_perp, sin_t, x = _joint_variance_product(spec, state)
     return _report("arthurs_goodman", lhs, 4.0 * (sin_t * x) ** 2, a_perp)
-
-
-def total_vs_goodman_rhs(spec: JointSpec, state: QubitState) -> tuple[float, float]:
-    """(total_joint rhs, arthurs_goodman rhs) for one state; the first is
-    the larger one whenever |<a_perp.sigma>| < 1, equal at 1."""
-    return (
-        total_joint(spec, state).rhs,
-        arthurs_goodman(spec, state).rhs,
-    )
 
 
 def schroedinger(state: QubitState, a, a_prime) -> UncertaintyReport:

@@ -68,6 +68,26 @@ def dense_sigma(v):
     return v[0] * PAULI_X + v[1] * PAULI_Y + v[2] * PAULI_Z
 
 
+def dense_projector(u, sign):
+    """(1 + sign u.sigma)/2 as an explicit complex matrix."""
+    return 0.5 * (np.eye(2, dtype=complex) + dense_sigma(sign * u))
+
+
+def dense_joint_effects(spec, optimal=False):
+    """The four effects (w 1 +- v.sigma)/4 of the general family (or, with
+    ``optimal``, of the saturating one) in OUTCOME_LABELS order, as
+    explicit complex matrices."""
+    v_plus = spec.alpha * spec.a + spec.alpha_prime * spec.a_prime
+    v_minus = spec.alpha * spec.a - spec.alpha_prime * spec.a_prime
+    k = spec.alpha * spec.alpha_prime * float(np.dot(spec.a, spec.a_prime))
+    weights = (np.linalg.norm(v_plus), np.linalg.norm(v_minus)) if optimal else (1 + k, 1 - k)
+    return [
+        0.25 * (w * np.eye(2, dtype=complex) + dense_sigma(sign * v))
+        for w, v in zip(weights, (v_plus, v_minus))
+        for sign in (1, -1)
+    ]
+
+
 def dense_admissibility(spec):
     """(diagonal sum, product form, smallest effect eigenvalue) of a spec
     from explicitly built diagonals and (w +- v.sigma)/4 matrices."""
@@ -76,13 +96,7 @@ def dense_admissibility(spec):
     diag_sum = np.linalg.norm(v_plus) + np.linalg.norm(v_minus)
     k = spec.alpha * spec.alpha_prime * float(np.dot(spec.a, spec.a_prime))
     pform = spec.alpha**2 + spec.alpha_prime**2 - k**2
-    eye = np.eye(2)
-    mats = [
-        (w * eye + sign * dense_sigma(v)) / 4
-        for w, v in ((1 + k, v_plus), (1 - k, v_minus))
-        for sign in (1, -1)
-    ]
-    min_eig = min(np.linalg.eigvalsh(m)[0] for m in mats)
+    min_eig = min(np.linalg.eigvalsh(m)[0] for m in dense_joint_effects(spec))
     return diag_sum, pform, float(min_eig)
 
 

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from spinjoint import cli
 from spinjoint.cli import main
 
 SQ2 = math.sqrt(2.0)
@@ -85,8 +86,17 @@ def test_usage_errors_exit_2(capsys, argv):
     assert "Traceback" not in out.err
 
 
-@pytest.mark.parametrize("argv", [["validate"], ["scan-theta", "--points", "5"]])
-def test_out_into_missing_directory_exits_2(tmp_path, capsys, argv):
+def _must_not_run(*args):
+    raise AssertionError("the command ran before --out was checked")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["validate"], ["scan-theta", "--points", "5"], ["chsh", "--n", "3000000", "--seed", "1"]],
+)
+def test_out_into_missing_directory_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # rejected while the flags are parsed: the command's work never starts
+    monkeypatch.setattr(cli, "_analyzer_counts", _must_not_run)
     target = tmp_path / "missing" / "x"
     with pytest.raises(SystemExit) as excinfo:
         main([*argv, "--out", str(target)])
@@ -97,6 +107,18 @@ def test_out_into_missing_directory_exits_2(tmp_path, capsys, argv):
     assert str(target) in out.err
     assert "Traceback" not in out.err
     assert not target.parent.exists()
+
+
+def test_out_onto_a_directory_exits_2(tmp_path, capsys):
+    # the parent exists, so only the write itself can fail
+    with pytest.raises(SystemExit) as excinfo:
+        main(["validate", "--out", str(tmp_path)])
+    out = capsys.readouterr()
+    assert excinfo.value.code == 2
+    assert out.out == ""
+    assert out.err.startswith("usage: spinjoint")
+    assert str(tmp_path) in out.err
+    assert "Traceback" not in out.err
 
 
 def test_scan_theta_deterministic_and_correct(capsys):

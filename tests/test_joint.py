@@ -136,29 +136,51 @@ def _cli_validate_exit(theta_deg, alpha):
         return cli.main(argv)
 
 
+def _boundary_band(signs=(1.0,)):
+    """(theta_deg, eps, alpha, spec) for alpha = alpha_max(theta)(1 + s eps):
+    24 angles from 3 to 177 degrees, 100 eps in logspace(-13, -8), each
+    sign s.  The band that test_admissibility_predicates_agree excludes."""
+    for theta_deg in np.linspace(3.0, 177.0, 24):
+        theta = math.radians(theta_deg)
+        for eps in np.logspace(-13, -8, 100):
+            for s in signs:
+                alpha = max_symmetric_alpha(theta) * (1.0 + s * float(eps))
+                # the spec the CLI resolves from the same flags
+                yield theta_deg, eps, alpha, JointSpec.from_angle(theta, alpha, alpha)
+
+
 def test_admissibility_entry_points_agree_in_boundary_band(monkeypatch):
-    # alpha = alpha_max(theta)(1 + eps) straddles the boundary inside the
-    # band that test_admissibility_predicates_agree excludes
+    # alpha above alpha_max straddles the boundary
     parser = cli.build_parser()
     monkeypatch.setattr(cli, "build_parser", lambda: parser)  # built once, not 2400 times
     settings = Settings(X, Z)
     disagreements = []
-    for theta_deg in np.linspace(3.0, 177.0, 24):
-        theta = math.radians(theta_deg)
-        for eps in np.logspace(-13, -8, 100):
-            alpha = max_symmetric_alpha(theta) * (1.0 + float(eps))
-            # the spec the CLI resolves from the same flags
-            spec = JointSpec.from_angle(theta, alpha, alpha)
-            verdicts = (
-                is_admissible(spec),
-                _accepts(require_admissible, spec),
-                _accepts(general_joint_povm, spec),
-                _accepts(lambda s: joint_correlations(s, settings), spec),
-                _cli_validate_exit(float(theta_deg), alpha) == 0,
-            )
-            if len(set(verdicts)) != 1:
-                disagreements.append((theta_deg, eps, verdicts))
+    for theta_deg, eps, alpha, spec in _boundary_band():
+        verdicts = (
+            is_admissible(spec),
+            _accepts(require_admissible, spec),
+            _accepts(general_joint_povm, spec),
+            _accepts(lambda s: joint_correlations(s, settings), spec),
+            _cli_validate_exit(float(theta_deg), alpha) == 0,
+        )
+        if len(set(verdicts)) != 1:
+            disagreements.append((theta_deg, eps, verdicts))
     assert disagreements == []
+
+
+def test_validate_eigenvalues_equal_closed_form_in_boundary_band():
+    # exact coordinates (w/2, v/2) and one norm: validate's eigenvalues are
+    # the closed form (w -+ |v|)/4 bit for bit, so the two cannot disagree
+    # about a value near -TOL
+    compared = 0
+    for *_, spec in _boundary_band(signs=(1.0, -1.0)):
+        try:
+            povm = general_joint_povm(spec)
+        except BoundViolated:
+            continue
+        assert validate(povm).min_eigenvalues == general_effect_min_eigenvalues(spec)
+        compared += 1
+    assert compared > 2400  # every spec below alpha_max and some above it
 
 
 def test_optimal_joint_povm_explicit_matrix():

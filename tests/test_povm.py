@@ -1,10 +1,15 @@
+import functools
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    dense_joint_effects,
     dense_outcome_probabilities,
+    dense_projector,
     dense_two_party_probabilities,
     random_admissible_spec,
     random_direction_pair,
@@ -18,10 +23,16 @@ from spinjoint import (
     Effect,
     InvalidPovm,
     InvalidState,
+    NotHermitian,
     NotUnit,
     Povm,
+    Settings,
     TwoQubitState,
+    born_correlations,
     general_joint_povm,
+    no_signalling_probe,
+    optimal_joint_povm,
+    optimal_settings,
     outcome_probabilities,
     pauli_dot,
     povm_from_json,
@@ -230,6 +241,83 @@ def test_povm_json_round_trip_is_bit_exact(entries):
     assert restored.labels == povm.labels
     for e1, e2 in zip(povm, restored):
         assert np.array_equal(e1.op, e2.op)
+
+
+def _package_built_povms(rng):
+    """Each package-built POVM with its dense oracle matrices."""
+    spec = random_admissible_spec(rng)
+    saturating = random_saturating_spec(rng)
+    u = random_unit(rng)
+    return [
+        (general_joint_povm(spec), dense_joint_effects(spec)),
+        (optimal_joint_povm(saturating), dense_joint_effects(saturating, optimal=True)),
+        (projective_povm(u), [dense_projector(u, 1), dense_projector(u, -1)]),
+    ]
+
+
+def test_package_built_effects_equal_dense_oracle_bit_for_bit():
+    # op is derived from the coordinates (t, r) as 0.5 (t + r.sigma); it
+    # must be the very matrix 0.25 (w + v.sigma) or 0.5 (1 +- u.sigma)
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        for povm, oracle in _package_built_povms(rng):
+            assert [e.op.tobytes() for e in povm] == [m.tobytes() for m in oracle]
+    for u in np.vstack([np.eye(3), -np.eye(3)]):  # exact zeros in u
+        povm = projective_povm(u)
+        assert [e.op.tobytes() for e in povm] == [
+            dense_projector(u, 1).tobytes(), dense_projector(u, -1).tobytes()
+        ]
+
+
+def test_package_built_povm_json_round_trip_is_bit_exact():
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        for povm, _ in _package_built_povms(rng):
+            restored = povm_from_json(povm_to_json(povm))
+            assert restored.labels == povm.labels
+            assert [e.op.tobytes() for e in restored] == [e.op.tobytes() for e in povm]
+
+
+def test_each_povm_is_validated_once(monkeypatch):
+    checked = []
+    check = Povm._report.func
+
+    def counting(povm):
+        checked.append(povm)
+        return check(povm)
+
+    report = functools.cached_property(counting)
+    report.__set_name__(Povm, "_report")
+    monkeypatch.setattr(Povm, "_report", report)
+    spec = random_admissible_spec(np.random.default_rng(37))
+    settings = optimal_settings(spec)
+    born_correlations(spec, settings)
+    no_signalling_probe(spec, settings)
+    validate(general_joint_povm(spec))
+    # one joint POVM and two analyzers, each built and checked once
+    ids = {id(p) for p in checked}  # ``checked`` keeps them alive: no id reuse
+    assert len(checked) == len(ids) == 3
+    assert ids == {id(general_joint_povm(spec)), *map(id, settings._analyzers)}
+    born_correlations(spec, Settings(settings.b, settings.b_prime))
+    assert len(checked) == 5  # new settings, new analyzers; the joint POVM is kept
+
+
+@pytest.mark.parametrize(
+    "op, error",
+    [
+        (np.eye(3), ValueError),
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), ValueError),
+        (np.array([[0.5, np.inf], [0.0, 0.5]]), ValueError),
+        (np.array([[0.5, 0.1], [0.2, 0.5]]), NotHermitian),
+        (np.array([[0.5, 0.1j], [0.1j, 0.5]]), NotHermitian),
+    ],
+)
+def test_user_supplied_matrices_keep_full_checks(op, error):
+    with pytest.raises(error):
+        Effect("x", op)
+    flat = [[z.real, z.imag] for z in np.asarray(op, dtype=complex).reshape(-1)]
+    with pytest.raises(error):  # a 3x3 has 9 entries, not 4: ValueError too
+        povm_from_json(json.dumps({"effects": [{"label": "x", "op": flat}]}))
 
 
 def test_povm_rejects_duplicate_labels():

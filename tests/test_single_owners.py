@@ -1,8 +1,9 @@
 """Each Monte Carlo decision has one owner in spinjoint: draws come only
 from ``SeededStream.uniforms``, they become counts only in
 ``sampling._tally`` (``sample_indices`` keeps the public index lookup),
-"+"/"-" labels are read only by ``joint.outcome_values``, and ``chsh --n``
-and ``signal`` share one two-analyzer run."""
+the generator's name is spelled only in ``sampling.py``, "+"/"-" labels
+are read only by ``joint.outcome_values``, and ``chsh --n`` and
+``signal`` share one two-analyzer run."""
 
 import ast
 from pathlib import Path
@@ -50,6 +51,15 @@ def test_one_draw_and_count_site():
         f"{path}:{func}: {_name(node)}"
         for path, func, node in _nodes()
         if _name(node) in OWNERS and (path, func) != OWNERS[_name(node)]
+    ]
+    assert found == []
+
+
+def test_generator_name_has_one_owner():
+    found = [
+        f"{path}:{node.lineno} in {func}"
+        for path, func, node in _nodes()
+        if isinstance(node, ast.Constant) and node.value == "Philox" and path != "sampling.py"
     ]
     assert found == []
 

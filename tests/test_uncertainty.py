@@ -25,7 +25,6 @@ from spinjoint import (
     schroedinger,
     state_from_bloch,
     total_joint,
-    total_vs_goodman_rhs,
 )
 
 X = np.array([1.0, 0.0, 0.0])
@@ -78,9 +77,7 @@ def test_product_form_saturates_exactly_when_bound_does():
         assert product_form(interior).slack > 1e-3
 
 
-@pytest.mark.parametrize(
-    "relation", [total_joint, arthurs_goodman, total_vs_goodman_rhs, evaluate_all]
-)
+@pytest.mark.parametrize("relation", [total_joint, arthurs_goodman, evaluate_all])
 def test_joint_relations_reject_inadmissible_spec(relation):
     spec = JointSpec.from_angle(math.pi / 2, 0.8, 0.8)
     with pytest.raises(BoundViolated) as excinfo:
@@ -144,7 +141,7 @@ def test_arthurs_goodman_examples():
     assert total_joint(spec, state_from_bloch(Y)).rhs == pytest.approx(4.0, abs=1e-12)
     # halfway up the normal: (1 + 1/2)^2 = 2.25 versus 4 * (1/2)^2 = 1
     half = state_from_bloch(0.5 * Y)
-    total_rhs, ag_rhs = total_vs_goodman_rhs(spec, half)
+    total_rhs, ag_rhs = total_joint(spec, half).rhs, arthurs_goodman(spec, half).rhs
     assert ag_rhs == pytest.approx(1.0, abs=1e-12)
     assert total_rhs == pytest.approx(2.25, abs=1e-12)
 
@@ -154,7 +151,7 @@ def test_total_joint_never_weaker_than_arthurs_goodman():
     for _ in range(200):
         spec = random_admissible_spec(rng, min_scale=0.3)
         state = random_state(rng)
-        total_rhs, ag_rhs = total_vs_goodman_rhs(spec, state)
+        total_rhs, ag_rhs = total_joint(spec, state).rhs, arthurs_goodman(spec, state).rhs
         assert total_rhs >= ag_rhs - 1e-12
         assert arthurs_goodman(spec, state).slack >= -1e-10
 
