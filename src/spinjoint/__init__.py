@@ -73,17 +73,13 @@ from .qubit import (
     TOL,
     QubitState,
     TwoQubitState,
-    expectation,
-    hermitian_eigenvalues,
     pauli_dot,
     state_from_bloch,
-    tensor2,
 )
 from .sampling import (
     SampleStats,
     SeededStream,
     SignallingResult,
-    TwoPartyTally,
     sample_indices,
     sample_povm,
     sample_two_party,
@@ -104,7 +100,6 @@ from .uncertainty import (
     cirelson_product,
     evaluate_all,
     product_form,
-    reports_to_csv,
     robertson,
     schroedinger,
     total_joint,

@@ -24,7 +24,6 @@ import numpy as np
 from .joint import (
     JointSpec,
     _diagonals,
-    _spec_diagonals,
     _unit_diagonals,
     general_joint_povm,
     outcome_values,
@@ -38,7 +37,7 @@ TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 _SINGLET_VEC = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Settings:
     """Observer 2's two analyzer directions."""
 
@@ -167,7 +166,7 @@ def optimal_settings(spec: JointSpec) -> Settings:
     enter); this function deterministically returns the +-parallel pair.
     """
     b, b_prime = _unit_diagonals(
-        _spec_diagonals(spec),
+        spec._parallelogram,
         "optimal analyzer direction undefined: a diagonal vanishes",
     )
     return Settings(b=b, b_prime=b_prime)

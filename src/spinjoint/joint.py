@@ -33,7 +33,7 @@ from .errors import (
     DegenerateDirection,
     NotSaturating,
 )
-from .povm import Effect, Povm, projective_povm
+from .povm import Effect, Povm
 from .qubit import (ATOL, REFERENCE_AXIS_COS, TOL, QubitState, _freeze, _length,
                     normalize, unit3)
 
@@ -55,7 +55,7 @@ def _check_sharpness(name: str, value: float) -> None:
         raise ValueError(f"|{name}| must be <= 1, got {value}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointSpec:
     """Parameters of a joint measurement: directions a, a_prime and
     sharpness factors alpha, alpha_prime.
@@ -89,10 +89,16 @@ class JointSpec:
         return float(self.a @ self.a_prime)
 
     @functools.cached_property
+    def _parallelogram(self) -> _Diagonals:
+        """The admissibility kernel on this spec, run on first use and
+        kept: the spec is frozen."""
+        return _diagonals(self.a, self.a_prime, self.alpha, self.alpha_prime)
+
+    @functools.cached_property
     def _general_povm(self) -> Povm:
         """``general_joint_povm``'s result, built on first use and kept:
         the spec is frozen, so every caller shares one validated POVM."""
-        d = _spec_diagonals(self)
+        d = self._parallelogram
         _decide(d)
         return _four_effects((d.w_plus, d.w_plus, d.w_minus, d.w_minus), d)
 
@@ -134,7 +140,7 @@ class JointSpec:
         return cls(doc["a"], doc["a_prime"], doc["alpha"], doc["alpha_prime"])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SwitchRealization:
     """Coin-and-projector realization: measure sharply along c with
     probability p, along c_prime with probability 1 - p."""
@@ -205,10 +211,6 @@ def _diagonals(a, a_prime, alpha, alpha_prime) -> _Diagonals:
     )
 
 
-def _spec_diagonals(spec: JointSpec) -> _Diagonals:
-    return _diagonals(spec.a, spec.a_prime, spec.alpha, spec.alpha_prime)
-
-
 def _decide(d: _Diagonals) -> None:
     """The package's only admissibility decision: raise BoundViolated unless
     the general family's smallest effect eigenvalue is >= -TOL.  The
@@ -245,7 +247,7 @@ def bound_lhs(spec: JointSpec) -> float:
     The spec is admissible iff this is <= 2 (the parallelogram-diagonal
     criterion); equality marks the sharpest possible joint measurement.
     """
-    return float(_spec_diagonals(spec).diagonal_sum)
+    return float(spec._parallelogram.diagonal_sum)
 
 
 def product_form_check(spec: JointSpec) -> float:
@@ -254,7 +256,7 @@ def product_form_check(spec: JointSpec) -> float:
     Admissible iff <= 1; algebraically equivalent to ``bound_lhs <= 2``
     (square the diagonal sum twice and cancel).
     """
-    return float(_spec_diagonals(spec).product_form)
+    return float(spec._parallelogram.product_form)
 
 
 def is_admissible(spec: JointSpec) -> bool:
@@ -295,7 +297,7 @@ def optimal_joint_povm(spec: JointSpec) -> Povm:
     identity, so completeness holds exactly because the bound is
     saturated; a non-saturating spec raises NotSaturating.
     """
-    d = _spec_diagonals(spec)
+    d = spec._parallelogram
     _require_saturating(d, "saturating four-outcome family")
     return _four_effects((d.n_plus, d.n_plus, d.n_minus, d.n_minus), d)
 
@@ -336,7 +338,7 @@ def admissibility_scan(a, a_prime, alpha, alpha_prime):
 def general_effect_min_eigenvalues(spec: JointSpec) -> tuple[float, float, float, float]:
     """Smallest eigenvalue of each effect of the general family, in
     OUTCOME_LABELS order, from the closed form (w -+ |v|)/4."""
-    d = _spec_diagonals(spec)
+    d = spec._parallelogram
     eig_plus, eig_minus = float(d.eig_plus), float(d.eig_minus)
     return (eig_plus, eig_plus, eig_minus, eig_minus)
 
@@ -344,7 +346,7 @@ def general_effect_min_eigenvalues(spec: JointSpec) -> tuple[float, float, float
 def require_admissible(spec: JointSpec) -> None:
     """Raise BoundViolated (with the offending eigenvalue) for an
     inadmissible spec; cheap closed-form check."""
-    _decide(_spec_diagonals(spec))
+    _decide(spec._parallelogram)
 
 
 def joint_variances(spec: JointSpec, state: QubitState) -> VarianceReport:
@@ -372,7 +374,7 @@ def switch_realization(spec: JointSpec) -> SwitchRealization:
     directions.  Defined only at saturation; vanishing diagonals (e.g.
     alpha = alpha' with a = a') raise DegenerateDirection.
     """
-    d = _spec_diagonals(spec)
+    d = spec._parallelogram
     _require_saturating(d, "switch realization")
     c, c_prime = _unit_diagonals(d, "a diagonal of the parallelogram vanishes")
     return SwitchRealization(p=0.5 * d.n_plus, c=c, c_prime=c_prime)
@@ -385,13 +387,10 @@ def switch_povm(realization: SwitchRealization) -> Povm:
     mixed with weight p; the one along c_prime is relabelled + -> +-,
     - -> -+ with weight 1 - p.
     """
-    p = realization.p
-    proj_c = projective_povm(realization.c)
-    proj_cp = projective_povm(realization.c_prime)
-    effects = (
-        Effect("++", p * proj_c.effect("+").op),
-        Effect("--", p * proj_c.effect("-").op),
-        Effect("+-", (1.0 - p) * proj_cp.effect("+").op),
-        Effect("-+", (1.0 - p) * proj_cp.effect("-").op),
-    )
-    return Povm(effects)
+    p, c, c_prime = realization.p, realization.c, realization.c_prime
+    weights = (p, p, 1.0 - p, 1.0 - p)
+    vectors = (c, -c, c_prime, -c_prime)
+    return Povm(tuple(
+        Effect._from_coordinates(label, w, w * v)
+        for label, w, v in zip(OUTCOME_LABELS, weights, vectors)
+    ))

@@ -2,10 +2,11 @@
 
 An ``Effect`` is one labelled outcome operator (t + r.sigma)/2; a ``Povm``
 is an ordered collection of them.  Effects the package builds start from
-their real Pauli coordinates (t, r) and derive the dense operator ``op``
-on first read.  A user-supplied matrix (``Effect(label, op)``,
-``povm_from_json``) is stored as given after the full checks (shape,
-finite entries, Hermiticity), and its coordinates are read from it once.
+their real Pauli coordinates (t, r), and the dense operator ``op`` is
+built from them with no checks.  A user-supplied matrix
+(``Effect(label, op)``, used by ``povm_from_json``) is stored as given
+after the full checks (shape, finite entries, Hermiticity), and its
+coordinates are read from it once.
 Construction checks only structure, so defective candidates can be built
 and inspected; ``validate`` reports positivity and completeness, once per
 POVM object, and the Born-rule evaluators refuse POVMs that fail it.
@@ -36,7 +37,7 @@ from .qubit import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Effect:
     """One labelled POVM outcome operator (Hermitian 2x2)."""
 
@@ -55,26 +56,18 @@ class Effect:
 
     @classmethod
     def _from_coordinates(cls, label: str, t, r) -> Effect:
-        """Effect (t + r.sigma)/2 the package built itself: no checks, and
-        ``op`` is derived on first read."""
+        """Effect (t + r.sigma)/2 the package built itself: no checks."""
         effect = object.__new__(cls)
         object.__setattr__(effect, "label", label)
-        _freeze(effect, _pauli=np.array([t, *r], dtype=float))
+        pauli = np.array([t, *r], dtype=float)
+        _freeze(effect, op=0.5 * (pauli[0] * ID2 + pauli_dot(pauli[1:])), _pauli=pauli)
         return effect
-
-    def __getattr__(self, name):
-        # reached only when ``op`` was never set, i.e. on the coordinate path
-        if name != "op":
-            raise AttributeError(name)
-        t, *r = self._pauli.tolist()
-        _freeze(self, op=0.5 * (t * ID2 + pauli_dot(r)))
-        return self.op
 
     def min_eigenvalue(self) -> float:
         return _coordinate_eigenvalues(self._pauli)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Povm:
     """Ordered, uniquely labelled set of effects."""
 

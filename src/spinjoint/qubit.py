@@ -1,10 +1,10 @@
 """Exact small-dimension algebra for spin-1/2.
 
-Pauli matrices, Bloch-vector density matrices, two-qubit tensor products
-and closed-form Hermitian eigenvalues.  Born-rule quantities and
-eigenvalues use the real Pauli coordinates (t, r) = Re tr(sigma_mu m) of
-m = (t + r.sigma)/2.  States keep their dense 2x2 / 4x4 matrices, checked
-at construction, and read their coordinates from them once.
+Pauli matrices, Bloch-vector density matrices and closed-form
+eigenvalues.  Born-rule quantities and eigenvalues use the real Pauli
+coordinates (t, r) = Re tr(sigma_mu m) of m = (t + r.sigma)/2.  States
+keep their dense 2x2 / 4x4 matrices, checked at construction, and read
+their coordinates from them once.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlochOutOfBall, InvalidState, NotHermitian, NotUnit
+from .errors import BlochOutOfBall, InvalidState, NotUnit
 
 # Rounding allowances, the only ones in the package.  ATOL: exactness of
 # inputs and closed forms (Hermiticity, unit trace and norm, Bloch ball,
@@ -101,23 +101,6 @@ def _born(coords, state: QubitState):
     return 0.5 * (coords @ state._pauli)
 
 
-def hermitian_eigenvalues(mat) -> tuple[float, float]:
-    """Eigenvalues of a Hermitian 2x2 matrix as an ascending pair,
-    (t -+ |r|)/2 from its Pauli coordinates; never takes the square root
-    of a negative rounding residue."""
-    m = np.asarray(mat, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError("expected a 2x2 matrix")
-    if not is_hermitian(m):
-        raise NotHermitian("matrix is not Hermitian within tolerance")
-    return _coordinate_eigenvalues(_pauli_coordinates(m))
-
-
-def tensor2(a, b) -> np.ndarray:
-    """Kronecker product, qubit-1-major ordering."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def _freeze(obj, **arrays) -> None:
     """Set read-only array attributes on a frozen dataclass instance."""
     for name, arr in arrays.items():
@@ -141,7 +124,7 @@ def _density_matrix(rho, dim: int) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QubitState:
     """Single-qubit density matrix rho = (1 + m.sigma)/2.
 
@@ -164,7 +147,7 @@ class QubitState:
         return self._pauli[1:].copy()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoQubitState:
     """Two-qubit density matrix in qubit-1-major (Kronecker) ordering."""
 
@@ -179,17 +162,6 @@ class TwoQubitState:
         corr = np.einsum("mki,nlj,ijkl->mn", _PAULI, _PAULI, m.reshape(2, 2, 2, 2)).real
         _freeze(self, rho4=m, _pauli=corr)
 
-    def reduced_state(self, qubit: int) -> QubitState:
-        """Partial trace onto one qubit (1 or 2)."""
-        r = self.rho4.reshape(2, 2, 2, 2)
-        if qubit == 1:
-            red = np.einsum("ijkj->ik", r)
-        elif qubit == 2:
-            red = np.einsum("ijik->jk", r)
-        else:
-            raise ValueError("qubit must be 1 or 2")
-        return QubitState(red)
-
 
 def state_from_bloch(m) -> QubitState:
     """rho = (1 + m.sigma)/2 for a Bloch vector inside the unit ball."""
@@ -198,13 +170,3 @@ def state_from_bloch(m) -> QubitState:
     if n > 1.0 + ATOL:
         raise BlochOutOfBall(f"|m| = {n} > 1")
     return QubitState(0.5 * (ID2 + pauli_dot(arr)))
-
-
-def expectation(obs, state: QubitState) -> float:
-    """Born-rule expectation Re tr(obs rho); obs must be Hermitian."""
-    m = np.asarray(obs, dtype=complex)
-    if not is_hermitian(m):
-        raise NotHermitian("observable must be Hermitian")
-    if not isinstance(state, QubitState):
-        raise InvalidState("expected a QubitState")
-    return float(_born(_pauli_coordinates(m), state))

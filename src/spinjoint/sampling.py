@@ -4,8 +4,9 @@ Draws come from a counter-addressable Philox stream keyed by
 (seed, stream_id): the i-th uniform of a stream is a pure function of
 (seed, stream_id, i).  Trial ranges can therefore be evaluated in chunks
 or fanned out across workers and the merged tallies are identical to a
-serial run, for any partition.  Every tally is taken over blocks of at
-most ``_BLOCK`` draws, so memory does not grow with n.
+serial run, for any partition.  ``_counts`` turns a range of draws into
+outcome counts over blocks of at most ``_BLOCK`` draws, so memory does
+not grow with n.  One- and two-party samples are both ``SampleStats``.
 """
 
 from __future__ import annotations
@@ -101,6 +102,15 @@ def _blocks(stream: SeededStream, offset: int, n: int):
         yield stream.uniforms(offset + start, min(_BLOCK, n - start))
 
 
+def _counts(probabilities, stream: SeededStream, offset: int, n: int) -> np.ndarray:
+    """Counts of the n draws [offset, offset + n) of ``stream`` over an
+    outcome table of any shape, summed over blocks."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    p = np.asarray(probabilities, dtype=float)
+    return sum(_tally(p.reshape(-1), u) for u in _blocks(stream, offset, n)).reshape(p.shape)
+
+
 def _stats_from_values(labels, tallies, values) -> SampleStats:
     n = int(sum(tallies))
     counts = {label: int(c) for label, c in zip(labels, tallies)}
@@ -117,8 +127,7 @@ def _stats_from_values(labels, tallies, values) -> SampleStats:
     )
 
 
-def _default_value(label: str) -> float:
-    # first outcome slot read as +-1
+def _first_slot(label: str) -> float:
     return float(outcome_values(label)[0])
 
 
@@ -127,39 +136,17 @@ def sample_povm(
     state: QubitState,
     n: int,
     stream: SeededStream,
-    value_of=None,
     offset: int = 0,
 ) -> SampleStats:
     """Draw n outcome labels via inverse CDF on the Born probabilities.
 
-    ``value_of`` maps labels to the numeric value whose moments are
-    reported (default: the first label character as +-1).  ``offset``
-    selects where in the stream the draws start, so several collections
-    can share one stream without overlap.
+    The moments are those of the first label slot read as +-1.
+    ``offset`` selects where in the stream the draws start, so several
+    collections can share one stream without overlap.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    value_of = value_of or _default_value
     labels, probs = zip(*outcome_probabilities(povm, state))
-    tallies = sum(_tally(probs, u) for u in _blocks(stream, offset, n))
-    return _stats_from_values(labels, tallies, [value_of(l) for l in labels])
-
-
-@dataclass(frozen=True)
-class TwoPartyTally:
-    """Joint tally over (observer-1 label, observer-2 result +-1)."""
-
-    n: int
-    counts: dict
-
-    def correlation(self, value_of=None) -> SampleStats:
-        """Moments of value_of(label1) * b over the tally (default:
-        first-slot +-1 decoding, i.e. the empirical E(A_J, B))."""
-        value_of = value_of or _default_value
-        labels = list(self.counts.keys())
-        tallies = [self.counts[k] for k in labels]
-        values = [value_of(l1) * b for l1, b in labels]
-        return _stats_from_values(labels, tallies, values)
+    tallies = _counts(probs, stream, offset, n)
+    return _stats_from_values(labels, tallies, [_first_slot(l) for l in labels])
 
 
 def sample_two_party(
@@ -168,31 +155,27 @@ def sample_two_party(
     n: int,
     stream: SeededStream,
     offset: int = 0,
-) -> TwoPartyTally:
+) -> SampleStats:
     """Sample n singlet trials: povm1 on qubit 1, a sharp analyzer along
-    ``setting`` on qubit 2."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    ``setting`` on qubit 2.
+
+    Counts are keyed by (observer-1 label, observer-2 result +-1); the
+    moments are those of (first slot of the label) * result, the
+    empirical E(A_J, B).
+    """
     povm2 = projective_povm(unit3(setting))
     probs = two_party_probabilities(povm1, povm2, singlet())
-    tallies = sum(_tally(probs.reshape(-1), u) for u in _blocks(stream, offset, n))
+    tallies = _counts(probs, stream, offset, n).reshape(-1)
     keys = [(l1, outcome_values(l2)[0]) for l1 in povm1.labels for l2 in povm2.labels]
-    counts = {k: int(c) for k, c in zip(keys, tallies)}
-    return TwoPartyTally(n=n, counts=counts)
+    return _stats_from_values(keys, tallies, [_first_slot(l1) * b for l1, b in keys])
 
 
 def _analyzer_counts(spec: JointSpec, settings: Settings, n: int, stream: SeededStream):
     """Monte Carlo twin of ``correlations._analyzer_tables``: the outcome
     values and, per analyzer, the counts of n singlet trials in a table of
     the same shape.  Analyzer b uses draws [0, n), b_prime [n, 2n)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     values, tables = _analyzer_tables(spec, settings)
-    counts = [
-        sum(_tally(p.reshape(-1), u) for u in _blocks(stream, k * n, n)).reshape(p.shape)
-        for k, p in enumerate(tables)
-    ]
-    return values, counts
+    return values, [_counts(p, stream, k * n, n) for k, p in enumerate(tables)]
 
 
 @dataclass(frozen=True)
@@ -238,8 +221,8 @@ def _format_g(x: float) -> str:
 def tally_to_csv(stats, metadata: dict) -> str:
     """CSV export: a JSON metadata comment line, then label,count,frequency.
 
-    Works for SampleStats and TwoPartyTally; tuple keys are joined with
-    '|' ('++|+1' style).
+    The tuple keys of ``sample_two_party`` are joined with '|' ('++|+1'
+    style).
     """
     lines = ["# " + json.dumps(metadata, sort_keys=True)]
     lines.append("label,count,frequency")

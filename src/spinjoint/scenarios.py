@@ -28,6 +28,7 @@ from .qubit import state_from_bloch
 from .sampling import SeededStream, _blocks, _tally
 
 CLONER_ETA_MAX = 2.0 / 3.0
+_GAP_SCAN_POINTS = 181  # theta grid of min_cloning_gap, 1 degree apart
 
 
 @dataclass(frozen=True)
@@ -57,14 +58,12 @@ def cloning_joint(theta: float, eta: float = CLONER_ETA_MAX) -> CloningScenario:
     )
 
 
-def min_cloning_gap(
-    eta: float = CLONER_ETA_MAX, num_points: int = 181
-) -> CloningScenario:
-    """Grid scan of the gap over theta in [0, pi]; returns the worst case
-    (attained at theta = pi/2, where the bound is strictest)."""
+def min_cloning_gap(eta: float = CLONER_ETA_MAX) -> CloningScenario:
+    """Scan of the gap over _GAP_SCAN_POINTS angles in [0, pi]; returns the
+    worst case (attained at theta = pi/2, where the bound is strictest)."""
     scenarios = [
-        cloning_joint(i * math.pi / (num_points - 1), eta)
-        for i in range(num_points)
+        cloning_joint(i * math.pi / (_GAP_SCAN_POINTS - 1), eta)
+        for i in range(_GAP_SCAN_POINTS)
     ]
     return min(scenarios, key=lambda s: s.gap)
 

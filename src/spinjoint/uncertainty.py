@@ -37,7 +37,7 @@ RELATION_IDS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UncertaintyReport:
     relation_id: str
     lhs: float
@@ -157,11 +157,4 @@ def evaluate_all(spec: JointSpec, state: QubitState) -> list[UncertaintyReport]:
         schroedinger(state, spec.a, spec.a_prime),
         cirelson_product(spec),
     ]
-
-
-def reports_to_csv(reports) -> str:
-    lines = ["relation_id,lhs,rhs,slack"]
-    for r in reports:
-        lines.append(f"{r.relation_id},{r.lhs:.17g},{r.rhs:.17g},{r.slack:.17g}")
-    return "\n".join(lines) + "\n"
 

@@ -5,14 +5,15 @@ fixed ratio r = alpha'/alpha the diagonal sum is linear in alpha, so
 alpha = 2 / (|a + r a'| + |a - r a'|) lands on the boundary to rounding.
 
 The library computes Born probabilities and admissibility quantities from
-Pauli coordinates in one kernel each.  The oracles here take the other
-route, through explicit complex matrices (Kronecker products, traces,
-``eigvalsh``), so that tests comparing the two stay independent.
+Pauli coordinates in one kernel each, and has no Kronecker product,
+partial trace or matrix expectation value.  The oracles here take the
+other route, through explicit complex matrices (Kronecker products,
+traces, ``eigvalsh``), so that tests comparing the two stay independent.
 """
 
 import numpy as np
 
-from spinjoint import PAULI_X, PAULI_Y, PAULI_Z, JointSpec, state_from_bloch
+from spinjoint import PAULI_X, PAULI_Y, PAULI_Z, JointSpec, QubitState, state_from_bloch
 
 
 def random_unit(rng):
@@ -62,6 +63,22 @@ def random_state(rng):
 
 def random_pure_state(rng):
     return state_from_bloch(random_unit(rng))
+
+
+def tensor2(a, b):
+    """Kronecker product, qubit-1-major ordering."""
+    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+
+
+def expectation(obs, state):
+    """Re tr(obs rho) of a one-qubit state, by matrix product and trace."""
+    return float(np.trace(np.asarray(obs, dtype=complex) @ state.rho).real)
+
+
+def reduced_state(state, qubit):
+    """Partial trace of a two-qubit state onto qubit 1 or 2."""
+    r = state.rho4.reshape(2, 2, 2, 2)
+    return QubitState(np.einsum({1: "ijkj->ik", 2: "ijik->jk"}[qubit], r))
 
 
 def dense_sigma(v):

@@ -18,6 +18,7 @@ from helpers import (
     random_saturating_spec,
     random_state,
     random_unit,
+    tensor2,
 )
 from spinjoint import (
     BoundViolated,
@@ -53,7 +54,6 @@ from spinjoint import (
     state_from_bloch,
     switch_povm,
     switch_realization,
-    tensor2,
     total_joint,
     validate,
 )

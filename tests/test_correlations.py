@@ -8,6 +8,8 @@ from helpers import (
     random_direction_pair,
     random_saturating_spec,
     random_unit,
+    reduced_state,
+    tensor2,
 )
 from spinjoint import (
     CorrelationSet,
@@ -29,7 +31,6 @@ from spinjoint import (
     sharp_correlations,
     singlet,
     switch_realization,
-    tensor2,
     tsirelson_settings,
     two_party_probabilities,
 )
@@ -43,7 +44,7 @@ def test_singlet_is_pure_with_mixed_marginals():
     state = singlet()
     assert np.trace(state.rho4 @ state.rho4).real == pytest.approx(1.0, abs=1e-12)
     for qubit in (1, 2):
-        assert np.max(np.abs(state.reduced_state(qubit).rho - 0.5 * np.eye(2))) <= 1e-12
+        assert np.max(np.abs(reduced_state(state, qubit).rho - 0.5 * np.eye(2))) <= 1e-12
     zz = tensor2(pauli_dot(Z), pauli_dot(Z))
     assert np.trace(zz @ state.rho4).real == pytest.approx(-1.0, abs=1e-12)
 

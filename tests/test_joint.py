@@ -21,10 +21,12 @@ from spinjoint import (
     ID2,
     BoundViolated,
     DegenerateDirection,
+    Effect,
     JointSpec,
     NotSaturating,
     Settings,
     SwitchRealization,
+    TwoQubitState,
     bound_lhs,
     general_effect_min_eigenvalues,
     general_joint_povm,
@@ -33,16 +35,20 @@ from spinjoint import (
     joint_variances,
     max_symmetric_alpha,
     optimal_joint_povm,
+    optimal_settings,
     outcome_probabilities,
     outcome_values,
     pauli_dot,
     product_form_check,
+    projective_povm,
+    robertson,
+    singlet,
     state_from_bloch,
     switch_povm,
     switch_realization,
     validate,
 )
-from spinjoint import cli
+from spinjoint import cli, joint
 from spinjoint.joint import require_admissible
 
 X = np.array([1.0, 0.0, 0.0])
@@ -419,3 +425,54 @@ def test_boundary_alphas_helper_respects_caps():
         alpha, alpha_p = boundary_alphas(a, ap, ratio)
         assert abs(alpha) <= 1 + 1e-12
         assert abs(alpha_p) <= 1 + 1e-12
+
+
+def test_spec_runs_its_kernel_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    kernel = joint._diagonals
+    monkeypatch.setattr(joint, "_diagonals", counted)
+    spec = JointSpec(X, Z, 0.6, 0.5)
+    for _ in range(2):
+        bound_lhs(spec)
+        product_form_check(spec)
+        general_effect_min_eigenvalues(spec)
+        assert is_admissible(spec)
+        joint_correlations(spec, optimal_settings(spec))
+        general_joint_povm(spec)
+    assert len(calls) == 1
+    # an inadmissible spec keeps its kernel too, and raises on every call
+    bad = JointSpec(X, Z, 0.8, 0.8)
+    for _ in range(3):
+        with pytest.raises(BoundViolated):
+            general_joint_povm(bad)
+        with pytest.raises(BoundViolated):
+            require_admissible(bad)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: JointSpec.from_angle(1.0, 0.5, 0.5),
+        lambda: Settings(X, Z),
+        lambda: state_from_bloch((0.1, 0.2, 0.3)),
+        lambda: TwoQubitState(singlet().rho4),
+        lambda: switch_realization(JointSpec(X, Z, 1 / SQ2, 1 / SQ2)),
+        lambda: robertson(state_from_bloch((0.1, 0.2, 0.3)), X, Z),
+        lambda: Effect("+", 0.5 * ID2),
+        lambda: projective_povm(Z),
+    ],
+    ids=["JointSpec", "Settings", "QubitState", "TwoQubitState",
+         "SwitchRealization", "UncertaintyReport", "Effect", "Povm"],
+)
+def test_array_holders_compare_by_identity(make):
+    # equal fields would compare arrays elementwise; these compare and hash
+    # as objects instead
+    x, y = make(), make()
+    assert x == x and x != y
+    assert hash(x) == hash(x) and len({x, y}) == 2

@@ -16,6 +16,8 @@ from helpers import (
     random_saturating_spec,
     random_state,
     random_unit,
+    reduced_state,
+    tensor2,
 )
 from spinjoint import (
     ID2,
@@ -42,7 +44,6 @@ from spinjoint import (
     state_from_bloch,
     switch_povm,
     switch_realization,
-    tensor2,
     two_party_probabilities,
     validate,
 )
@@ -181,7 +182,7 @@ def test_row_sums_do_not_depend_on_other_party():
         m1 = two_party_probabilities(povm1, projective_povm(a), singlet()).sum(axis=1)
         m2 = two_party_probabilities(povm1, projective_povm(ap), singlet()).sum(axis=1)
         assert np.max(np.abs(m1 - m2)) <= 1e-12
-        reduced = singlet().reduced_state(1)
+        reduced = reduced_state(singlet(), 1)
         direct = np.array([p for _, p in outcome_probabilities(povm1, reduced)])
         assert np.max(np.abs(m1 - direct)) <= 1e-12
 

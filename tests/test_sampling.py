@@ -193,10 +193,12 @@ def test_sample_povm_value_decoding():
     povm = optimal_joint_povm(spec)
     state = state_from_bloch((0, 0, 0.8))
     n = 200_000
-    second_slot = lambda label: 1.0 if label[1] == "+" else -1.0
-    stats = sample_povm(povm, state, n, SeededStream(8), value_of=second_slot)
+    stats = sample_povm(povm, state, n, SeededStream(8))
+    # the second slot, decoded from the counts
+    mean = sum(outcome_values(label)[1] * c for label, c in stats.counts.items()) / n
+    stderr = math.sqrt((1.0 - mean * mean) / n)
     expected = spec.alpha_prime * 0.8  # a' = z here
-    assert abs(stats.mean - expected) < 5 * stats.stderr
+    assert abs(mean - expected) < 5 * stderr
 
 
 def test_empirical_alpha_estimate():
@@ -215,22 +217,24 @@ def test_sample_two_party_correlation():
     povm = general_joint_povm(spec)
     b = random_unit(rng)
     n = 200_000
-    tally = sample_two_party(povm, b, n, SeededStream(10))
-    assert sum(tally.counts.values()) == n
-    corr = tally.correlation()
+    stats = sample_two_party(povm, b, n, SeededStream(10))
+    assert stats.n == sum(stats.counts.values()) == n
+    # the moments are those of (first slot) * b
+    product = sum(outcome_values(l1)[0] * b2 * c for (l1, b2), c in stats.counts.items())
+    assert stats.mean == pytest.approx(product / n, abs=1e-15)
     settings = Settings(b, b)
     expected = joint_correlations(spec, settings).e_ab
-    assert abs(corr.mean - expected) < 5 * corr.stderr
+    assert abs(stats.mean - expected) < 5 * stats.stderr
 
 
 def test_sample_two_party_sharp_anticorrelation():
     povm = projective_povm(Z)
-    tally = sample_two_party(povm, Z, 100_000, SeededStream(11))
-    corr = tally.correlation()
-    assert corr.mean == -1.0
+    stats = sample_two_party(povm, Z, 100_000, SeededStream(11))
+    assert stats.mean == -1.0
+    assert stats.variance == 0.0
     assert all(
         count == 0
-        for (l1, b), count in tally.counts.items()
+        for (l1, b), count in stats.counts.items()
         if (1 if l1 == "+" else -1) == b
     )
 

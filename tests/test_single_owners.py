@@ -1,9 +1,11 @@
-"""Each Monte Carlo decision has one owner in spinjoint: draws come only
-from ``SeededStream.uniforms``, they become counts only in
-``sampling._tally`` (``sample_indices`` keeps the public index lookup),
-the generator's name is spelled only in ``sampling.py``, "+"/"-" labels
-are read only by ``joint.outcome_values``, and ``chsh --n`` and
-``signal`` share one two-analyzer run."""
+"""Each decision has one owner in spinjoint: draws come only from
+``SeededStream.uniforms``, they become counts only in ``sampling._tally``
+(``sample_indices`` keeps the public index lookup), the generator's name
+is spelled only in ``sampling.py``, "+"/"-" labels are read only by
+``joint.outcome_values``, ``chsh --n`` and ``signal`` share one
+two-analyzer run, and the checked matrix constructor ``Effect(label, op)``
+serves only matrices read by ``povm_from_json``: package code builds its
+effects from coordinates."""
 
 import ast
 from pathlib import Path
@@ -21,6 +23,7 @@ OWNERS = {
     "SeedSequence": ("sampling.py", "uniforms"),
 }
 LABEL_DECODER = ("joint.py", "outcome_values")
+MATRIX_EFFECTS = ("povm.py", "povm_from_json")
 
 
 def _nodes():
@@ -83,3 +86,15 @@ def test_two_analyzer_runs_share_one_kernel():
         names = {_name(node) for path, func, node in _nodes() if (path, func) == owner}
         assert "_analyzer_counts" in names, owner
         assert not {"sample_two_party", "correlation"} & names, owner
+
+
+def test_matrix_effects_only_from_json():
+    found = [
+        f"{path}:{node.lineno} in {func}"
+        for path, func, node in _nodes()
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "Effect"
+        and (path, func) != MATRIX_EFFECTS
+    ]
+    assert found == []

@@ -10,6 +10,7 @@ from helpers import (
     random_state,
 )
 from spinjoint import (
+    RELATION_IDS,
     BoundViolated,
     CollinearDirections,
     JointSpec,
@@ -20,12 +21,12 @@ from spinjoint import (
     pauli_dot,
     product_form,
     product_form_check,
-    reports_to_csv,
     robertson,
     schroedinger,
     state_from_bloch,
     total_joint,
 )
+from spinjoint.cli import main
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -226,7 +227,7 @@ def test_squaring_chain_equivalence():
         assert (lhs_margin <= 0) == (pf_margin <= 0)
 
 
-def test_evaluate_all_order_and_csv():
+def test_evaluate_all_order_and_csv(capsys):
     spec = JointSpec(Z, X, 0.6, 0.5)
     reports = evaluate_all(spec, state_from_bloch((0.2, 0.3, 0.1)))
     assert [r.relation_id for r in reports] == [
@@ -237,8 +238,15 @@ def test_evaluate_all_order_and_csv():
         "schroedinger",
         "cirelson_product",
     ]
-    text = reports_to_csv(reports)
-    lines = text.strip().split("\n")
-    assert lines[0] == "relation_id,lhs,rhs,slack"
-    assert len(lines) == 7
     assert all(r.slack >= -1e-10 for r in reports)
+    # the CLI writes one csv row per relation, in the same order, and
+    # each row round-trips slack = lhs - rhs exactly
+    argv = ["uncertainty", "--a", "0,0,1", "--a-prime", "1,0,0",
+            "--alpha", "0.6", "--alpha-prime", "0.5", "--samples", "1"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0] == "relation_id,lhs,rhs,slack"
+    assert [line.split(",")[0] for line in lines[1:]] == list(RELATION_IDS)
+    for line in lines[1:]:
+        lhs, rhs, slack = map(float, line.split(",")[1:])
+        assert slack == lhs - rhs
