@@ -31,8 +31,8 @@ from .qubit import (
     _coordinate_eigenvalues,
     _freeze,
     _pauli_coordinates,
+    _sigma,
     is_hermitian,
-    pauli_dot,
     unit3,
 )
 
@@ -60,7 +60,7 @@ class Effect:
         effect = object.__new__(cls)
         object.__setattr__(effect, "label", label)
         pauli = np.array([t, *r], dtype=float)
-        _freeze(effect, op=0.5 * (pauli[0] * ID2 + pauli_dot(pauli[1:])), _pauli=pauli)
+        _freeze(effect, op=0.5 * (pauli[0] * ID2 + _sigma(*pauli[1:])), _pauli=pauli)
         return effect
 
     def min_eigenvalue(self) -> float:

@@ -65,10 +65,14 @@ def normalize(v) -> np.ndarray:
     return arr / n
 
 
+def _sigma(x, y, z) -> np.ndarray:
+    """x*sigma_x + y*sigma_y + z*sigma_z from trusted coordinates: no checks."""
+    return np.array([[z, x - 1j * y], [x + 1j * y, -z]], dtype=complex)
+
+
 def pauli_dot(v) -> np.ndarray:
     """v . sigma = x*sigma_x + y*sigma_y + z*sigma_z, Hermitian traceless."""
-    x, y, z = vec3(v)
-    return np.array([[z, x - 1j * y], [x + 1j * y, -z]], dtype=complex)
+    return _sigma(*vec3(v))
 
 
 def is_hermitian(mat) -> bool:
@@ -161,6 +165,17 @@ class TwoQubitState:
         # _pauli[mu, nu] = Re tr((sigma_mu x sigma_nu) rho4)
         corr = np.einsum("mki,nlj,ijkl->mn", _PAULI, _PAULI, m.reshape(2, 2, 2, 2)).real
         _freeze(self, rho4=m, _pauli=corr)
+
+
+def _bloch_rows(m) -> np.ndarray:
+    """Bloch vectors, the rows of an (N, 3) array, checked to lie in the
+    unit ball and rounded as the states ``state_from_bloch`` builds hold
+    them: z is read back from rho's diagonal as (1 + z)/2 - (1 - z)/2."""
+    n = float(np.max(_length(m)))
+    if n > 1.0 + ATOL:
+        raise BlochOutOfBall(f"|m| = {n} > 1")
+    x, y, z = m.T
+    return np.column_stack([x, y, 0.5 * (1.0 + z) - 0.5 * (1.0 - z)])
 
 
 def state_from_bloch(m) -> QubitState:

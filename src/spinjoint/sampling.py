@@ -219,18 +219,10 @@ def _format_g(x: float) -> str:
 
 
 def tally_to_csv(stats, metadata: dict) -> str:
-    """CSV export: a JSON metadata comment line, then label,count,frequency.
-
-    The tuple keys of ``sample_two_party`` are joined with '|' ('++|+1'
-    style).
-    """
+    """CSV export: a JSON metadata comment line, then label,count,frequency."""
     lines = ["# " + json.dumps(metadata, sort_keys=True)]
     lines.append("label,count,frequency")
     n = stats.n
-    for key, count in stats.counts.items():
-        if isinstance(key, tuple):
-            label = "|".join(f"{k:+d}" if isinstance(k, int) else str(k) for k in key)
-        else:
-            label = str(key)
+    for label, count in stats.counts.items():
         lines.append(f"{label},{count},{_format_g(count / n)}")
     return "\n".join(lines) + "\n"

@@ -15,6 +15,12 @@ normal to the measurement plane:
 product_form is state independent and saturates exactly when the
 sharpness bound is saturated; cirelson_product is the analogous
 translation of the 2 sqrt(2) correlation ceiling and admits al = al' = 1.
+
+One kernel, ``_relations``, writes each formula once over a batch of
+Bloch vectors, the rows of an (N, 3) array: it checks a and a' and
+computes a_perp, sin(theta) and cos(theta) once per call, and the
+sharpness squares and the admissibility decision once per spec.  The
+public functions and ``evaluate_all`` are batches of one.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CollinearDirections, ZeroAlpha
-from .joint import JointSpec, joint_variances, require_admissible
+from .joint import JointSpec, require_admissible
 from .qubit import ATOL, QubitState, norm3, unit3
 
 RELATION_IDS = (
@@ -37,78 +43,83 @@ RELATION_IDS = (
 )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class UncertaintyReport:
     relation_id: str
     lhs: float
     rhs: float
     slack: float
-    a_perp: np.ndarray | None = None
 
 
-def _report(relation_id, lhs, rhs, a_perp=None) -> UncertaintyReport:
-    return UncertaintyReport(
-        relation_id=relation_id, lhs=lhs, rhs=rhs, slack=lhs - rhs, a_perp=a_perp
-    )
+def _squares(v: np.ndarray) -> np.ndarray:
+    """v**2 by Python's float power, element by element: numpy's squares
+    round differently on about 0.1% of inputs, and the CSV must not move."""
+    return np.array([t**2 for t in v.tolist()])
 
 
-def _perp_axis(a, a_prime) -> tuple[np.ndarray, float]:
-    """Right-handed unit normal to span{a, a'} and sin(theta) = |a x a'|."""
-    cross = np.cross(unit3(a), unit3(a_prime))
-    sin_t = norm3(cross)
+def _relations(m, spec: JointSpec | None = None, a=None, a_prime=None) -> dict:
+    """{relation_id: (lhs, rhs)}, one entry per Bloch row of ``m``.
+
+    The directions are the spec's, or ``a`` and ``a_prime`` without one.
+    Without ``spec`` only the bare relations (robertson, schroedinger);
+    with ``m=None`` only the state-independent product forms, as a batch
+    of one.  The joint relations need both.
+    """
+    if spec is not None:
+        a, a_prime = spec.a, spec.a_prime
+    a, a_prime = unit3(a), unit3(a_prime)
+    cos_t = float(a @ a_prime)
+    n = 1 if m is None else len(m)
+    table = {}
+    if spec is not None:
+        if spec.alpha == 0.0 or spec.alpha_prime == 0.0:
+            raise ZeroAlpha("product-form relations require nonzero sharpness")
+        x, y = spec.alpha**2, spec.alpha_prime**2
+        sin_sq = np.full(n, max(0.0, 1.0 - cos_t * cos_t))
+        table["product_form"] = (np.full(n, (1.0 - x) * (1.0 - y) / (x * y)), sin_sq)
+        table["cirelson_product"] = (np.full(n, (2.0 - x) * (2.0 - y) / (x * y)), sin_sq)
+    if m is None:
+        return table
+    normal = np.cross(a, a_prime)
+    sin_t = norm3(normal)
     if sin_t < ATOL:
         raise CollinearDirections("a and a_prime are (anti)parallel")
-    return cross / sin_t, sin_t
+    ea, eap = np.vecdot(m, a), np.vecdot(m, a_prime)
+    perp = np.vecdot(m, normal / sin_t)  # <a_perp.sigma>
+    bare = (1.0 - ea * ea) * (1.0 - eap * eap)
+    commutator = _squares(sin_t * perp)
+    table["robertson"] = (bare, commutator)
+    table["schroedinger"] = (bare, commutator + _squares(cos_t - ea * eap))
+    if spec is not None:
+        require_admissible(spec)
+        # Var(A_J) = 1 - al^2 <A>^2, as joint.joint_variances has it
+        joint = (1.0 - x * _squares(ea)) * (1.0 - y * _squares(eap)) / (x * y)
+        table["total_joint"] = (joint, _squares(sin_t * (1.0 + np.abs(perp))))
+        table["arthurs_goodman"] = (joint, 4.0 * commutator)
+    return table
 
 
-def _sin_sq(spec: JointSpec) -> float:
-    c = spec.cos_theta
-    return max(0.0, 1.0 - c * c)
-
-
-def _sharpness_squares(spec: JointSpec) -> tuple[float, float]:
-    """(alpha^2, alpha'^2); the product-form relations divide by both."""
-    if spec.alpha == 0.0 or spec.alpha_prime == 0.0:
-        raise ZeroAlpha("product-form relations require nonzero sharpness")
-    return spec.alpha**2, spec.alpha_prime**2
+def _report(relation_id: str, table: dict) -> UncertaintyReport:
+    lhs, rhs = (float(v[0]) for v in table[relation_id])
+    return UncertaintyReport(relation_id, lhs, rhs, lhs - rhs)
 
 
 def product_form(spec: JointSpec) -> UncertaintyReport:
     """State-independent cost of jointness; slack 0 exactly at saturation
     of the sharpness bound."""
-    x, y = _sharpness_squares(spec)
-    lhs = (1.0 - x) * (1.0 - y) / (x * y)
-    return _report("product_form", lhs, _sin_sq(spec))
+    return _report("product_form", _relations(None, spec))
 
 
 def robertson(state: QubitState, a, a_prime) -> UncertaintyReport:
     """Commutator bound on the bare variance product; state dependent and
     not always tight."""
-    a_perp, sin_t = _perp_axis(a, a_prime)
-    m = state.bloch_vector
-    ea = float(unit3(a) @ m)
-    eap = float(unit3(a_prime) @ m)
-    lhs = (1.0 - ea * ea) * (1.0 - eap * eap)
-    rhs = (sin_t * float(a_perp @ m)) ** 2
-    return _report("robertson", lhs, rhs, a_perp)
-
-
-def _joint_variance_product(spec: JointSpec, state: QubitState):
-    """Var(A_J) Var(A'_J)/(al^2 al'^2) for an admissible spec, with the
-    plane normal a_perp, sin(theta) and <a_perp.sigma>."""
-    x, y = _sharpness_squares(spec)
-    require_admissible(spec)
-    a_perp, sin_t = _perp_axis(spec.a, spec.a_prime)
-    v = joint_variances(spec, state)
-    lhs = v.var_joint * v.var_joint_prime / (x * y)
-    return lhs, a_perp, sin_t, float(a_perp @ state.bloch_vector)
+    return _report("robertson", _relations(state.bloch_vector[None], a=a, a_prime=a_prime))
 
 
 def total_joint(spec: JointSpec, state: QubitState) -> UncertaintyReport:
     """Bound on the total joint-variance product, combining the jointness
     cost with the commutator bound; specific to spin directions."""
-    lhs, a_perp, sin_t, x = _joint_variance_product(spec, state)
-    return _report("total_joint", lhs, (sin_t * (1.0 + abs(x))) ** 2, a_perp)
+    return _report("total_joint", _relations(state.bloch_vector[None], spec))
 
 
 def arthurs_goodman(spec: JointSpec, state: QubitState) -> UncertaintyReport:
@@ -118,8 +129,7 @@ def arthurs_goodman(spec: JointSpec, state: QubitState) -> UncertaintyReport:
     and the ``total_joint`` rhs is never smaller for the same state, with
     equality at |x| = 1.
     """
-    lhs, a_perp, sin_t, x = _joint_variance_product(spec, state)
-    return _report("arthurs_goodman", lhs, 4.0 * (sin_t * x) ** 2, a_perp)
+    return _report("arthurs_goodman", _relations(state.bloch_vector[None], spec))
 
 
 def schroedinger(state: QubitState, a, a_prime) -> UncertaintyReport:
@@ -129,32 +139,16 @@ def schroedinger(state: QubitState, a, a_prime) -> UncertaintyReport:
     (cos(theta) - <A><A'>)^2; for every pure qubit state the relation is
     an identity (slack 0).
     """
-    a_perp, sin_t = _perp_axis(a, a_prime)
-    m = state.bloch_vector
-    ea = float(unit3(a) @ m)
-    eap = float(unit3(a_prime) @ m)
-    cos_t = float(unit3(a) @ unit3(a_prime))
-    lhs = (1.0 - ea * ea) * (1.0 - eap * eap)
-    rhs = (sin_t * float(a_perp @ m)) ** 2 + (cos_t - ea * eap) ** 2
-    return _report("schroedinger", lhs, rhs, a_perp)
+    return _report("schroedinger", _relations(state.bloch_vector[None], a=a, a_prime=a_prime))
 
 
 def cirelson_product(spec: JointSpec) -> UncertaintyReport:
     """Product translation of the 2 sqrt(2) correlation ceiling; places
     no restriction below full sharpness."""
-    x, y = _sharpness_squares(spec)
-    lhs = (2.0 - x) * (2.0 - y) / (x * y)
-    return _report("cirelson_product", lhs, _sin_sq(spec))
+    return _report("cirelson_product", _relations(None, spec))
 
 
 def evaluate_all(spec: JointSpec, state: QubitState) -> list[UncertaintyReport]:
     """All six relations for one (spec, state) pair, in RELATION_IDS order."""
-    return [
-        product_form(spec),
-        robertson(state, spec.a, spec.a_prime),
-        total_joint(spec, state),
-        arthurs_goodman(spec, state),
-        schroedinger(state, spec.a, spec.a_prime),
-        cirelson_product(spec),
-    ]
-
+    table = _relations(state.bloch_vector[None], spec)
+    return [_report(relation_id, table) for relation_id in RELATION_IDS]

@@ -41,7 +41,6 @@ from spinjoint import (
     pauli_dot,
     product_form_check,
     projective_povm,
-    robertson,
     singlet,
     state_from_bloch,
     switch_povm,
@@ -463,12 +462,11 @@ def test_spec_runs_its_kernel_once(monkeypatch):
         lambda: state_from_bloch((0.1, 0.2, 0.3)),
         lambda: TwoQubitState(singlet().rho4),
         lambda: switch_realization(JointSpec(X, Z, 1 / SQ2, 1 / SQ2)),
-        lambda: robertson(state_from_bloch((0.1, 0.2, 0.3)), X, Z),
         lambda: Effect("+", 0.5 * ID2),
         lambda: projective_povm(Z),
     ],
     ids=["JointSpec", "Settings", "QubitState", "TwoQubitState",
-         "SwitchRealization", "UncertaintyReport", "Effect", "Povm"],
+         "SwitchRealization", "Effect", "Povm"],
 )
 def test_array_holders_compare_by_identity(make):
     # equal fields would compare arrays elementwise; these compare and hash

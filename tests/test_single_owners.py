@@ -5,7 +5,8 @@ is spelled only in ``sampling.py``, "+"/"-" labels are read only by
 ``joint.outcome_values``, ``chsh --n`` and ``signal`` share one
 two-analyzer run, and the checked matrix constructor ``Effect(label, op)``
 serves only matrices read by ``povm_from_json``: package code builds its
-effects from coordinates."""
+effects from coordinates, and the measurement-plane normal a x a' is
+computed only in the uncertainty kernel ``uncertainty._relations``."""
 
 import ast
 from pathlib import Path
@@ -21,6 +22,7 @@ OWNERS = {
     "searchsorted": ("sampling.py", "sample_indices"),
     "Philox": ("sampling.py", "uniforms"),
     "SeedSequence": ("sampling.py", "uniforms"),
+    "cross": ("uncertainty.py", "_relations"),
 }
 LABEL_DECODER = ("joint.py", "outcome_values")
 MATRIX_EFFECTS = ("povm.py", "povm_from_json")
