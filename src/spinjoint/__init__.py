@@ -84,7 +84,6 @@ from .sampling import (
     sample_povm,
     sample_two_party,
     signalling_experiment,
-    tally_to_csv,
 )
 from .scenarios import (
     Bb84EveReport,

@@ -49,7 +49,6 @@ from .sampling import (
     _analyzer_counts,
     sample_povm,
     signalling_experiment,
-    tally_to_csv,
 )
 from .scenarios import CLONER_ETA_MAX, bb84_eve, cloning_joint, min_cloning_gap
 from .uncertainty import RELATION_IDS, _relations, product_form
@@ -64,9 +63,10 @@ def _vector(text: str) -> np.ndarray:
 
 def _direction(text: str) -> np.ndarray:
     try:
-        return normalize(_vector(text))
+        with np.errstate(over="ignore"):  # an overflowing length is a usage error
+            return normalize(_vector(text))
     except ValueError as exc:
-        raise argparse.ArgumentTypeError("direction must be nonzero") from exc
+        raise argparse.ArgumentTypeError("direction must be nonzero and of finite length") from exc
 
 
 def _alpha(text: str):
@@ -136,18 +136,18 @@ def _add_output_flags(sub: argparse.ArgumentParser, default_format: str) -> None
 def _resolve_spec(parser: argparse.ArgumentParser, args) -> JointSpec:
     if args.a_prime is not None and args.theta_deg is not None:
         parser.error("--a-prime and --theta-deg are mutually exclusive")
-    if args.a_prime is not None:
-        theta = math.acos(float(np.clip(args.a @ args.a_prime, -1.0, 1.0)))
-    else:
-        theta = math.radians(90.0 if args.theta_deg is None else args.theta_deg)
     alpha = args.alpha
     alpha_prime = args.alpha_prime if args.alpha_prime is not None else alpha
-    if (alpha == "optimal-symmetric") != (alpha_prime == "optimal-symmetric"):
+    optimal = alpha == "optimal-symmetric"
+    if optimal != (alpha_prime == "optimal-symmetric"):
         parser.error("--alpha and --alpha-prime: two numbers or 'optimal-symmetric' for both")
-    if alpha == "optimal-symmetric":
-        alpha = alpha_prime = max_symmetric_alpha(theta)
     if args.a_prime is not None:
+        if optimal:
+            return JointSpec.optimal_symmetric(args.a, args.a_prime)
         return JointSpec(args.a, args.a_prime, alpha, alpha_prime)
+    theta = math.radians(90.0 if args.theta_deg is None else args.theta_deg)
+    if optimal:
+        alpha = alpha_prime = max_symmetric_alpha(theta)
     return JointSpec.from_angle(theta, alpha, alpha_prime, a=args.a)
 
 
@@ -169,15 +169,20 @@ def _emit(args, text: str) -> None:
         build_parser().error(f"cannot write --out {args.out}: {exc.strerror}")
 
 
-def _emit_rows(args, rows: list[dict]) -> None:
-    if args.format == "json":
-        _emit(args, json.dumps(rows, indent=2) + "\n")
-        return
+def _csv_text(rows: list[dict]) -> str:
+    """The CLI's one csv writer: a header of the first row's keys, then the rows."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(rows[0].keys())
     writer.writerows([_fmt(v) for v in row.values()] for row in rows)
-    _emit(args, buf.getvalue())
+    return buf.getvalue()
+
+
+def _emit_rows(args, rows: list[dict]) -> None:
+    if args.format == "json":
+        _emit(args, json.dumps(rows, indent=2) + "\n")
+    else:
+        _emit(args, _csv_text(rows))
 
 
 def _emit_record(args, record: dict) -> None:
@@ -279,7 +284,9 @@ def cmd_sample(parser, args) -> int:
             indent=2,
         ) + "\n")
     else:
-        _emit(args, tally_to_csv(stats, meta))
+        counts = stats.counts.items()
+        rows = [{"label": k, "count": c, "frequency": c / stats.n} for k, c in counts]
+        _emit(args, "# " + json.dumps(meta, sort_keys=True) + "\n" + _csv_text(rows))
     return 0
 
 
@@ -315,7 +322,7 @@ def cmd_uncertainty(parser, args) -> int:
     if spec.alpha == 0.0 or spec.alpha_prime == 0.0:
         parser.error("uncertainty relations need nonzero sharpness factors")
     u = SeededStream(args.seed).uniforms(0, 3 * args.samples)
-    table = _relations(_bloch_rows(_random_bloch(u)), spec)
+    table = _relations(_bloch_rows(_random_bloch(u))[:, 1:], spec)
     lhs = np.column_stack([table[r][0] for r in RELATION_IDS])
     rhs = np.column_stack([table[r][1] for r in RELATION_IDS])
     slack = lhs - rhs

@@ -84,10 +84,6 @@ class JointSpec:
         object.__setattr__(self, "alpha_prime", alpha_p)
         object.__setattr__(self, "theta", math.acos(float(np.clip(a @ ap, -1.0, 1.0))))
 
-    @property
-    def cos_theta(self) -> float:
-        return float(self.a @ self.a_prime)
-
     @functools.cached_property
     def _parallelogram(self) -> _Diagonals:
         """The admissibility kernel on this spec, run on first use and
@@ -349,6 +345,18 @@ def require_admissible(spec: JointSpec) -> None:
     _decide(spec._parallelogram)
 
 
+def _squares(v: np.ndarray) -> np.ndarray:
+    """v**2 by Python's float power, element by element: numpy's squares
+    round differently on about 0.1% of inputs, and the CSV must not move."""
+    return np.array([t**2 for t in v.tolist()])
+
+
+def _joint_variance(alpha_sq, expectation: np.ndarray) -> np.ndarray:
+    """Var(A_J) = 1 - alpha^2 <A>^2 of the +-1 outcome that tracks A with
+    sharpness alpha, over an array of <A>; the bare Var(A) at alpha^2 = 1."""
+    return 1.0 - alpha_sq * _squares(expectation)
+
+
 def joint_variances(spec: JointSpec, state: QubitState) -> VarianceReport:
     """Variances of the +-1 joint outcomes: 1 - alpha^2 <a.sigma>^2.
 
@@ -357,14 +365,9 @@ def joint_variances(spec: JointSpec, state: QubitState) -> VarianceReport:
     variance.
     """
     m = state.bloch_vector
-    ea = float(spec.a @ m)
-    eap = float(spec.a_prime @ m)
-    return VarianceReport(
-        var_joint=1.0 - spec.alpha**2 * ea**2,
-        var_joint_prime=1.0 - spec.alpha_prime**2 * eap**2,
-        var_bare=1.0 - ea**2,
-        var_bare_prime=1.0 - eap**2,
-    )
+    expectations = np.array([float(spec.a @ m), float(spec.a_prime @ m)])
+    joint = _joint_variance(np.array([spec.alpha**2, spec.alpha_prime**2]), expectations)
+    return VarianceReport(*joint.tolist(), *_joint_variance(1.0, expectations).tolist())
 
 
 def switch_realization(spec: JointSpec) -> SwitchRealization:

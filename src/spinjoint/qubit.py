@@ -2,9 +2,9 @@
 
 Pauli matrices, Bloch-vector density matrices and closed-form
 eigenvalues.  Born-rule quantities and eigenvalues use the real Pauli
-coordinates (t, r) = Re tr(sigma_mu m) of m = (t + r.sigma)/2.  States
-keep their dense 2x2 / 4x4 matrices, checked at construction, and read
-their coordinates from them once.
+coordinates (t, r) = Re tr(sigma_mu m) of m = (t + r.sigma)/2.  Package
+states start from Bloch vectors, whose coordinates only ``_bloch_rows``
+computes; user-supplied matrices are checked and read once.
 """
 
 from __future__ import annotations
@@ -43,25 +43,21 @@ def vec3(v) -> np.ndarray:
     return arr
 
 
-def norm3(v) -> float:
-    arr = np.asarray(v, dtype=float)
-    return math.sqrt(float(arr @ arr))
-
-
 def unit3(v) -> np.ndarray:
     """Coerce to a 3-vector and require unit norm within ATOL."""
     arr = vec3(v)
-    n = norm3(arr)
+    n = float(_length(arr))
     if abs(n - 1.0) > ATOL:
         raise NotUnit(f"|v| = {n!r}, expected 1 within {ATOL}")
     return arr
 
 
 def normalize(v) -> np.ndarray:
+    """v / |v|; ValueError unless ATOL <= |v| < inf."""
     arr = vec3(v)
-    n = norm3(arr)
-    if n < ATOL:
-        raise ValueError("cannot normalize a (near-)zero vector")
+    n = float(_length(arr))
+    if not ATOL <= n < math.inf:
+        raise ValueError(f"cannot normalize a vector of length {n}")
     return arr / n
 
 
@@ -88,8 +84,9 @@ def _pauli_coordinates(mat) -> np.ndarray:
 
 
 def _length(v):
-    """|v| = sqrt(v.v) over the last axis: the one norm behind effect
-    eigenvalues and the admissibility kernel, so the two round alike."""
+    """|v| = sqrt(v.v) over the last axis: the package's one vector norm,
+    so unit checks, the Bloch ball, effect eigenvalues and the
+    admissibility kernel all round alike."""
     return np.sqrt(np.vecdot(v, v))
 
 
@@ -146,6 +143,13 @@ class QubitState:
             raise InvalidState(f"negative eigenvalue {lo}")
         _freeze(self, rho=m, _pauli=coords)  # _pauli = (tr rho, m)
 
+    @classmethod
+    def _from_coordinates(cls, m, pauli) -> QubitState:
+        """(1 + m.sigma)/2 with its ``_bloch_rows`` row ``pauli``: no checks."""
+        state = object.__new__(cls)
+        _freeze(state, rho=0.5 * (ID2 + _sigma(*m)), _pauli=pauli)
+        return state
+
     @property
     def bloch_vector(self) -> np.ndarray:
         return self._pauli[1:].copy()
@@ -168,20 +172,20 @@ class TwoQubitState:
 
 
 def _bloch_rows(m) -> np.ndarray:
-    """Bloch vectors, the rows of an (N, 3) array, checked to lie in the
-    unit ball and rounded as the states ``state_from_bloch`` builds hold
-    them: z is read back from rho's diagonal as (1 + z)/2 - (1 - z)/2."""
+    """Pauli rows (t, x, y, z) of (1 + m.sigma)/2 for Bloch vectors m in the
+    unit ball, the rows of an (N, 3) array: the one source of state
+    coordinates.  They round as a read of rho's entries does: t and z from
+    the diagonal (1 +- z)/2, x and y from twice (0 + x)/2 and (0 + y)/2."""
     n = float(np.max(_length(m)))
     if n > 1.0 + ATOL:
         raise BlochOutOfBall(f"|m| = {n} > 1")
     x, y, z = m.T
-    return np.column_stack([x, y, 0.5 * (1.0 + z) - 0.5 * (1.0 - z)])
+    hi, lo = 0.5 * (1.0 + z), 0.5 * (1.0 - z)
+    hx, hy = 0.5 * (0.0 + x), 0.5 * (0.0 + y)
+    return np.column_stack([hi + lo, hx + hx, hy + hy, hi - lo])
 
 
 def state_from_bloch(m) -> QubitState:
     """rho = (1 + m.sigma)/2 for a Bloch vector inside the unit ball."""
     arr = vec3(m)
-    n = norm3(arr)
-    if n > 1.0 + ATOL:
-        raise BlochOutOfBall(f"|m| = {n} > 1")
-    return QubitState(0.5 * (ID2 + pauli_dot(arr)))
+    return QubitState._from_coordinates(arr, _bloch_rows(arr[None])[0])

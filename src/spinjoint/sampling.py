@@ -11,7 +11,6 @@ not grow with n.  One- and two-party samples are both ``SampleStats``.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -212,17 +211,3 @@ def signalling_experiment(
     diff = stats_b.mean - stats_b_prime.mean
     z = 0.0 if diff == 0.0 else (math.inf if denom == 0.0 else diff / denom)
     return SignallingResult(stats_b=stats_b, stats_b_prime=stats_b_prime, z_score=z)
-
-
-def _format_g(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def tally_to_csv(stats, metadata: dict) -> str:
-    """CSV export: a JSON metadata comment line, then label,count,frequency."""
-    lines = ["# " + json.dumps(metadata, sort_keys=True)]
-    lines.append("label,count,frequency")
-    n = stats.n
-    for label, count in stats.counts.items():
-        lines.append(f"{label},{count},{_format_g(count / n)}")
-    return "\n".join(lines) + "\n"

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CollinearDirections, ZeroAlpha
-from .joint import JointSpec, require_admissible
-from .qubit import ATOL, QubitState, norm3, unit3
+from .joint import JointSpec, _joint_variance, _squares, require_admissible
+from .qubit import ATOL, QubitState, _length, unit3
 
 RELATION_IDS = (
     "product_form",
@@ -49,12 +49,6 @@ class UncertaintyReport:
     lhs: float
     rhs: float
     slack: float
-
-
-def _squares(v: np.ndarray) -> np.ndarray:
-    """v**2 by Python's float power, element by element: numpy's squares
-    round differently on about 0.1% of inputs, and the CSV must not move."""
-    return np.array([t**2 for t in v.tolist()])
 
 
 def _relations(m, spec: JointSpec | None = None, a=None, a_prime=None) -> dict:
@@ -81,7 +75,7 @@ def _relations(m, spec: JointSpec | None = None, a=None, a_prime=None) -> dict:
     if m is None:
         return table
     normal = np.cross(a, a_prime)
-    sin_t = norm3(normal)
+    sin_t = float(_length(normal))
     if sin_t < ATOL:
         raise CollinearDirections("a and a_prime are (anti)parallel")
     ea, eap = np.vecdot(m, a), np.vecdot(m, a_prime)
@@ -92,8 +86,7 @@ def _relations(m, spec: JointSpec | None = None, a=None, a_prime=None) -> dict:
     table["schroedinger"] = (bare, commutator + _squares(cos_t - ea * eap))
     if spec is not None:
         require_admissible(spec)
-        # Var(A_J) = 1 - al^2 <A>^2, as joint.joint_variances has it
-        joint = (1.0 - x * _squares(ea)) * (1.0 - y * _squares(eap)) / (x * y)
+        joint = _joint_variance(x, ea) * _joint_variance(y, eap) / (x * y)
         table["total_joint"] = (joint, _squares(sin_t * (1.0 + np.abs(perp))))
         table["arthurs_goodman"] = (joint, 4.0 * commutator)
     return table

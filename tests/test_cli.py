@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import pytest
 
@@ -74,10 +75,12 @@ def test_validate_conflicting_direction_flags(capsys):
         ["chsh", "--alpha-prime", "0.3"],
         ["validate", "--alpha", "0.9", "--alpha-prime", "optimal-symmetric"],
         ["signal", "--alpha", "optimal-symmetric", "--alpha-prime", "0.5", "--n", "10", "--seed", "1"],
+        ["validate", "--a=1e308,1e308,0"],  # |a| overflows
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
-    with pytest.raises(SystemExit) as excinfo:
+    with warnings.catch_warnings(), pytest.raises(SystemExit) as excinfo:
+        warnings.simplefilter("error")  # the usage message is all that is printed
         main(argv)
     out = capsys.readouterr()
     assert excinfo.value.code == 2

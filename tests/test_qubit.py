@@ -20,7 +20,7 @@ from spinjoint import (
     pauli_dot,
     state_from_bloch,
 )
-from spinjoint.qubit import _coordinate_eigenvalues, unit3
+from spinjoint.qubit import _coordinate_eigenvalues, normalize, unit3
 
 coord = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 vector = st.tuples(coord, coord, coord)
@@ -54,6 +54,22 @@ def test_state_from_bloch_examples():
 def test_state_from_bloch_rejects_long_vectors():
     with pytest.raises(BlochOutOfBall):
         state_from_bloch((0.8, 0.8, 0.0))
+
+
+def test_state_from_bloch_equals_checked_matrix_path_bit_for_bit():
+    # the unchecked coordinate path against the checked constructor that
+    # reads the coordinates back from rho: signed zeros, subnormal
+    # components and the poles included
+    rng = np.random.default_rng(19)
+    v = rng.normal(size=(2000, 3))
+    v /= np.maximum(1.0, np.linalg.norm(v, axis=1))[:, None]
+    edges = [(0.0, 0.0, 0.0), (-0.0, -0.0, -0.0), (0.0, 0.0, 1.0), (0.0, 0.0, -1.0),
+             (1e-310, -1e-310, 5e-324), (-5e-324, 5e-324, -5e-324)]
+    for m in [*v, *(1e-310 * v[:200]), *(1e-320 * v[:200]), *np.array(edges)]:
+        state = state_from_bloch(m)
+        checked = QubitState(0.5 * (ID2 + pauli_dot(m)))
+        assert state._pauli.tobytes() == checked._pauli.tobytes(), m
+        assert state.rho.tobytes() == checked.rho.tobytes(), m
 
 
 @given(vector)
@@ -136,6 +152,13 @@ def test_tensor2_multiplicative():
 def test_unit3_rejects_non_unit():
     with pytest.raises(NotUnit):
         unit3((1.0, 1.0, 0.0))
+
+
+def test_normalize_rejects_zero_and_overflowing_lengths():
+    assert np.array_equal(normalize((0.0, 3.0, 4.0)), [0.0, 0.6, 0.8])
+    for v in [(0.0, 0.0, 0.0), (1e308, 1e308, 0.0)]:
+        with np.errstate(over="ignore"), pytest.raises(ValueError):
+            normalize(v)
 
 
 def test_qubit_state_validation():

@@ -1,4 +1,3 @@
-import json
 import math
 import tracemalloc
 
@@ -24,7 +23,6 @@ from spinjoint import (
     sample_two_party,
     signalling_experiment,
     state_from_bloch,
-    tally_to_csv,
 )
 from spinjoint import sampling
 from spinjoint.sampling import _tally
@@ -278,24 +276,6 @@ def test_signalling_experiment_reproducible():
     r2 = signalling_experiment(spec, settings, 10_000, SeededStream(13))
     assert r1.stats_b.counts == r2.stats_b.counts
     assert r1.z_score == r2.z_score
-
-
-def test_tally_to_csv_format():
-    stream = SeededStream(14)
-    stats = sample_povm(projective_povm(Z), state_from_bloch((0, 0, 0)), 100, stream)
-    text = tally_to_csv(stats, stream.metadata(100))
-    lines = text.strip().split("\n")
-    meta = json.loads(lines[0].lstrip("# "))
-    assert meta["generator"] == "Philox"
-    assert meta["seed"] == 14
-    assert meta["n"] == 100
-    assert lines[1] == "label,count,frequency"
-    assert len(lines) == 4
-    again = tally_to_csv(
-        sample_povm(projective_povm(Z), state_from_bloch((0, 0, 0)), 100, stream),
-        stream.metadata(100),
-    )
-    assert again == text
 
 
 def test_sample_povm_rejects_bad_n():

@@ -6,7 +6,12 @@ is spelled only in ``sampling.py``, "+"/"-" labels are read only by
 two-analyzer run, and the checked matrix constructor ``Effect(label, op)``
 serves only matrices read by ``povm_from_json``: package code builds its
 effects from coordinates, and the measurement-plane normal a x a' is
-computed only in the uncertainty kernel ``uncertainty._relations``."""
+computed only in the uncertainty kernel ``uncertainty._relations``.
+States follow the same split: ``qubit._bloch_rows`` alone checks the
+Bloch ball and computes the coordinates of a package-built state, the
+checked matrix constructor ``QubitState(rho)`` is never called by package
+code, and only the two checked constructors ``QubitState.__post_init__``
+and ``Effect.__post_init__`` read coordinates back from a matrix."""
 
 import ast
 from pathlib import Path
@@ -20,25 +25,37 @@ OWNERS = {
     "bincount": ("sampling.py", "_tally"),
     "count_nonzero": ("sampling.py", "_tally"),
     "searchsorted": ("sampling.py", "sample_indices"),
-    "Philox": ("sampling.py", "uniforms"),
-    "SeedSequence": ("sampling.py", "uniforms"),
+    "Philox": ("sampling.py", "SeededStream.uniforms"),
+    "SeedSequence": ("sampling.py", "SeededStream.uniforms"),
     "cross": ("uncertainty.py", "_relations"),
 }
 LABEL_DECODER = ("joint.py", "outcome_values")
 MATRIX_EFFECTS = ("povm.py", "povm_from_json")
+BALL_CHECK = ("qubit.py", "_bloch_rows")
+MATRIX_READERS = {("qubit.py", "QubitState.__post_init__"), ("povm.py", "Effect.__post_init__")}
 
 
 def _nodes():
-    """(module file, innermost enclosing function or None, node) for every
-    node in the package."""
+    """(module file, dotted name of the enclosing classes and functions or
+    None, node) for every node in the package."""
+    scopes = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
     for path in sorted(SRC.glob("*.py")):
         stack = [(ast.parse(path.read_text()), None)]
         while stack:
             node, func = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                func = node.name
+            if isinstance(node, scopes):
+                func = node.name if func is None else f"{func}.{node.name}"
             yield path.name, func, node
             stack.extend((child, func) for child in ast.iter_child_nodes(node))
+
+
+def _calls(name):
+    """(module file, scope) of every call of the bare name ``name``."""
+    return [
+        (path, func)
+        for path, func, node in _nodes()
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+    ]
 
 
 def _name(node):
@@ -91,12 +108,19 @@ def test_two_analyzer_runs_share_one_kernel():
 
 
 def test_matrix_effects_only_from_json():
-    found = [
-        f"{path}:{node.lineno} in {func}"
+    assert set(_calls("Effect")) == {MATRIX_EFFECTS}
+
+
+def test_one_bloch_ball_check():
+    raised = [
+        (path, func)
         for path, func, node in _nodes()
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id == "Effect"
-        and (path, func) != MATRIX_EFFECTS
+        if isinstance(node, ast.Raise)
+        and _name(getattr(node.exc, "func", node.exc)) == "BlochOutOfBall"
     ]
-    assert found == []
+    assert raised == [BALL_CHECK]
+
+
+def test_coordinates_read_from_matrices_only_when_checked():
+    assert set(_calls("_pauli_coordinates")) == MATRIX_READERS
+    assert _calls("QubitState") == []
