@@ -176,7 +176,8 @@ def _bloch_rows(m) -> np.ndarray:
     unit ball, the rows of an (N, 3) array: the one source of state
     coordinates.  They round as a read of rho's entries does: t and z from
     the diagonal (1 +- z)/2, x and y from twice (0 + x)/2 and (0 + y)/2."""
-    n = float(np.max(_length(m)))
+    with np.errstate(over="ignore"):  # an overflowing |m| is inf, refused below
+        n = float(np.max(_length(m)))
     if n > 1.0 + ATOL:
         raise BlochOutOfBall(f"|m| = {n} > 1")
     x, y, z = m.T

@@ -4,9 +4,9 @@ Draws come from a counter-addressable Philox stream keyed by
 (seed, stream_id): the i-th uniform of a stream is a pure function of
 (seed, stream_id, i).  Trial ranges can therefore be evaluated in chunks
 or fanned out across workers and the merged tallies are identical to a
-serial run, for any partition.  ``_counts`` turns a range of draws into
-outcome counts over blocks of at most ``_BLOCK`` draws, so memory does
-not grow with n.  One- and two-party samples are both ``SampleStats``.
+serial run, for any partition.  Every count walks its draws through
+``_block_sum`` in blocks of at most ``_BLOCK``, so memory does not grow
+with n.  One- and two-party samples are both ``SampleStats``.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ import numpy as np
 from .correlations import Settings, _analyzer_tables, singlet
 from .joint import JointSpec, outcome_values
 from .povm import Povm, outcome_probabilities, projective_povm, two_party_probabilities
-from .qubit import QubitState, unit3
+from .qubit import QubitState
 
 GENERATOR_NAME = "Philox"
 _WORDS_PER_COUNTER = 4  # Philox emits 4 64-bit words per counter step
-_BLOCK = 1 << 20  # draws held in memory at once: 8 MiB of doubles
+_BLOCK = 1 << 20  # draws per block of each range: 8 MiB of doubles
 
 
 @dataclass(frozen=True)
@@ -94,20 +94,25 @@ def _tally(probabilities, uniforms) -> np.ndarray:
     return np.diff([0, *below, len(uniforms)])
 
 
-def _blocks(stream: SeededStream, offset: int, n: int):
-    """Draws [offset, offset + n) of ``stream``, in blocks of at most
-    ``_BLOCK``."""
-    for start in range(0, n, _BLOCK):
-        yield stream.uniforms(offset + start, min(_BLOCK, n - start))
+def _block_sum(count, stream: SeededStream, offsets, n: int):
+    """Sum of ``count`` over the aligned blocks of the draw ranges [o, o + n)
+    of ``stream``, one block of at most ``_BLOCK`` draws per offset: the
+    package's one walk over stream draws.  No block outlives its ``count``
+    call: blocks go straight into its arguments, never into a loop variable
+    while the next ones are drawn, so memory holds one block per range."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return sum(
+        count(*(stream.uniforms(o + start, min(_BLOCK, n - start)) for o in offsets))
+        for start in range(0, n, _BLOCK)
+    )
 
 
 def _counts(probabilities, stream: SeededStream, offset: int, n: int) -> np.ndarray:
     """Counts of the n draws [offset, offset + n) of ``stream`` over an
     outcome table of any shape, summed over blocks."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     p = np.asarray(probabilities, dtype=float)
-    return sum(_tally(p.reshape(-1), u) for u in _blocks(stream, offset, n)).reshape(p.shape)
+    return _block_sum(lambda u: _tally(p.reshape(-1), u), stream, (offset,), n).reshape(p.shape)
 
 
 def _stats_from_values(labels, tallies, values) -> SampleStats:
@@ -162,7 +167,7 @@ def sample_two_party(
     moments are those of (first slot of the label) * result, the
     empirical E(A_J, B).
     """
-    povm2 = projective_povm(unit3(setting))
+    povm2 = projective_povm(setting)
     probs = two_party_probabilities(povm1, povm2, singlet())
     tallies = _counts(probs, stream, offset, n).reshape(-1)
     keys = [(l1, outcome_values(l2)[0]) for l1 in povm1.labels for l2 in povm2.labels]

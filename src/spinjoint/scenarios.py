@@ -25,7 +25,7 @@ from .errors import EtaOutOfRange
 from .joint import JointSpec, max_symmetric_alpha, optimal_joint_povm, outcome_values
 from .povm import outcome_probabilities
 from .qubit import state_from_bloch
-from .sampling import SeededStream, _blocks, _tally
+from .sampling import SeededStream, _block_sum, _tally
 
 CLONER_ETA_MAX = 2.0 / 3.0
 _GAP_SCAN_POINTS = 181  # theta grid of min_cloning_gap, 1 degree apart
@@ -86,8 +86,6 @@ def bb84_eve(
     the optimal symmetric four-outcome measurement, and reads off the
     outcome slot of the (later announced) basis.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     spec = JointSpec.from_angle(theta, *(max_symmetric_alpha(theta),) * 2)
     povm = optimal_joint_povm(spec)
     trials = 4 * n
@@ -103,23 +101,21 @@ def bb84_eve(
             wanted = values[:, int(use_prime)] == (-1 if minus else 1)
             cells.append((use_prime, minus, probs, wanted))
 
-    # basis, bit and outcome draws come from [0, trials), [trials, 2 trials)
-    # and [2 trials, 3 trials), walked in lock-step blocks
-    successes = 0
-    for basis_u, bits_u, outcome_u in zip(
-        *(_blocks(stream, k * trials, trials) for k in range(3))
-    ):
+    def successes(basis_u, bits_u, outcome_u):
         basis = basis_u < 0.5  # False: a-basis, True: a'-basis
         bits = bits_u < 0.5  # False: +, True: -
-        for use_prime, minus, probs, wanted in cells:
-            mask = (basis == use_prime) & (bits == minus)
-            successes += int(_tally(probs, outcome_u[mask])[wanted].sum())
+        return sum(
+            int(_tally(probs, outcome_u[(basis == use_prime) & (bits == minus)])[wanted].sum())
+            for use_prime, minus, probs, wanted in cells
+        )
+
+    hits = _block_sum(successes, stream, (0, trials, 2 * trials), trials)
 
     alpha = spec.alpha
     return Bb84EveReport(
         theta=float(theta),
         alpha=alpha,
         guess_success_prob_after_announcement=(1.0 + alpha) / 2.0,
-        empirical_success=successes / trials,
+        empirical_success=hits / trials,
         n_trials=trials,
     )

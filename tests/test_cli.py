@@ -232,12 +232,14 @@ def test_sample_requires_n_and_seed(capsys):
 
 
 def test_sample_bloch_out_of_ball_exits_1(capsys):
-    code, _, err = run(
-        capsys,
-        ["sample", "--theta-deg", "90", "--n", "10", "--seed", "1", "--bloch", "1,1,1"],
-    )
-    assert code == 1
-    assert "BlochOutOfBall" in err
+    # a length that overflows to inf too: the error line is all that is printed
+    for bloch, length in (("1,1,1", math.sqrt(3.0)), ("1e308,1e308,0", math.inf)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy overflow warning would raise
+            code, out, err = run(capsys, ["sample", "--n", "10", "--seed", "1", f"--bloch={bloch}"])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: BlochOutOfBall: |m| = {length} > 1\n"
 
 
 def test_signal_null_result(capsys):

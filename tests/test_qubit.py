@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -52,8 +53,11 @@ def test_state_from_bloch_examples():
 
 
 def test_state_from_bloch_rejects_long_vectors():
-    with pytest.raises(BlochOutOfBall):
-        state_from_bloch((0.8, 0.8, 0.0))
+    # a length that overflows to inf is refused too, without a numpy warning
+    for m in ((0.8, 0.8, 0.0), (1e308, 1e308, 0.0)):
+        with warnings.catch_warnings(), pytest.raises(BlochOutOfBall):
+            warnings.simplefilter("error")
+            state_from_bloch(m)
 
 
 def test_state_from_bloch_equals_checked_matrix_path_bit_for_bit():

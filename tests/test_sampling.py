@@ -108,17 +108,20 @@ def test_tallies_do_not_depend_on_block_size(monkeypatch, block, n):
 
 
 def test_memory_does_not_grow_with_n():
-    # draws are held one block at a time, so going from 2 to 8 blocks of
-    # trials adds (almost) nothing to the peak; bb84_eve runs 4n trials
+    # draws are held one block per range at a time, so going from 2 to 8
+    # blocks of trials adds (almost) nothing to the peak, and the peak stays
+    # near one block for one-range samplers and three for bb84_eve's basis,
+    # bit and outcome ranges; bb84_eve runs 4n trials
     spec = JointSpec(X, Z, 0.4, 0.6)
     povm = general_joint_povm(spec)
     state = state_from_bloch((0.2, 0.1, -0.3))
     settings = optimal_settings(spec)
     stream = SeededStream(43)
-    runs = (
-        lambda trials: sample_povm(povm, state, trials, stream),
-        lambda trials: signalling_experiment(spec, settings, trials, stream),
-        lambda trials: bb84_eve(trials // 4, stream),
+    runs = (  # (peak bound in blocks of doubles, run)
+        (1.5, lambda trials: sample_povm(povm, state, trials, stream)),
+        (1.5, lambda trials: sample_two_party(povm, settings.b, trials, stream)),
+        (1.5, lambda trials: signalling_experiment(spec, settings, trials, stream)),
+        (4.5, lambda trials: bb84_eve(trials // 4, stream)),
     )
 
     def peak(run, trials):
@@ -129,10 +132,12 @@ def test_memory_does_not_grow_with_n():
         finally:
             tracemalloc.stop()
 
-    for run in runs:
+    block_bytes = 8 * sampling._BLOCK
+    for bound, run in runs:
         run(4)  # caches and first-call set-up stay out of the measurement
         small, large = peak(run, 2 * sampling._BLOCK), peak(run, 8 * sampling._BLOCK)
         assert large - small <= 1 << 20, (small, large)
+        assert max(small, large) <= bound * block_bytes, (small / block_bytes, large / block_bytes)
 
 
 def test_sample_povm_deterministic_outcome():
@@ -278,6 +283,21 @@ def test_signalling_experiment_reproducible():
     assert r1.z_score == r2.z_score
 
 
-def test_sample_povm_rejects_bad_n():
-    with pytest.raises(ValueError):
-        sample_povm(projective_povm(Z), state_from_bloch((0, 0, 0)), 0, SeededStream(1))
+_BAD_N_RUNS = {
+    "sample_povm": lambda n: sample_povm(
+        projective_povm(Z), state_from_bloch((0, 0, 0)), n, SeededStream(1)
+    ),
+    "sample_two_party": lambda n: sample_two_party(projective_povm(Z), X, n, SeededStream(1)),
+    "signalling_experiment": lambda n: signalling_experiment(
+        JointSpec(X, Z, 0.5, 0.5), Settings(X, Z), n, SeededStream(1)
+    ),
+    "bb84_eve": lambda n: bb84_eve(n, SeededStream(1)),
+}
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("sampler", list(_BAD_N_RUNS))
+def test_samplers_reject_bad_n(sampler, n):
+    # one check, in the draw walk, serves every sampler
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        _BAD_N_RUNS[sampler](n)

@@ -1,5 +1,8 @@
 """Each decision has one owner in spinjoint: draws come only from
-``SeededStream.uniforms``, they become counts only in ``sampling._tally``
+``SeededStream.uniforms``, which only the one walk over stream draws
+``sampling._block_sum`` calls (and ``cli.cmd_uncertainty``, which reads
+its draws in one piece), only that walk reads the block size ``_BLOCK``,
+draws become counts only in ``sampling._tally``
 (``sample_indices`` keeps the public index lookup), the generator's name
 is spelled only in ``sampling.py``, "+"/"-" labels are read only by
 ``joint.outcome_values``, ``chsh --n`` and ``signal`` share one
@@ -33,6 +36,8 @@ LABEL_DECODER = ("joint.py", "outcome_values")
 MATRIX_EFFECTS = ("povm.py", "povm_from_json")
 BALL_CHECK = ("qubit.py", "_bloch_rows")
 MATRIX_READERS = {("qubit.py", "QubitState.__post_init__"), ("povm.py", "Effect.__post_init__")}
+DRAW_WALK = ("sampling.py", "_block_sum")
+UNIFORMS_CALLERS = {DRAW_WALK, ("cli.py", "cmd_uncertainty")}
 
 
 def _nodes():
@@ -50,11 +55,12 @@ def _nodes():
 
 
 def _calls(name):
-    """(module file, scope) of every call of the bare name ``name``."""
+    """(module file, scope) of every call of ``name``, bare or as an
+    attribute."""
     return [
         (path, func)
         for path, func, node in _nodes()
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+        if isinstance(node, ast.Call) and _name(node.func) == name
     ]
 
 
@@ -75,6 +81,16 @@ def test_one_draw_and_count_site():
         if _name(node) in OWNERS and (path, func) != OWNERS[_name(node)]
     ]
     assert found == []
+
+
+def test_one_walk_over_stream_draws():
+    assert set(_calls("uniforms")) == UNIFORMS_CALLERS
+    block_reads = {
+        (path, func)
+        for path, func, node in _nodes()
+        if _name(node) == "_BLOCK" and isinstance(getattr(node, "ctx", None), ast.Load)
+    }
+    assert block_reads == {DRAW_WALK}
 
 
 def test_generator_name_has_one_owner():
