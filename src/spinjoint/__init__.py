@@ -73,7 +73,6 @@ from .qubit import (
     TOL,
     QubitState,
     TwoQubitState,
-    pauli_dot,
     state_from_bloch,
 )
 from .sampling import (

@@ -33,7 +33,7 @@ from .errors import (
     DegenerateDirection,
     NotSaturating,
 )
-from .povm import Effect, Povm
+from .povm import Povm
 from .qubit import (ATOL, REFERENCE_AXIS_COS, TOL, QubitState, _freeze, _length,
                     normalize, unit3)
 
@@ -279,10 +279,7 @@ def _four_effects(weights, d: _Diagonals) -> Povm:
     """Effects (w +- v.sigma)/4 for v = v_plus (++, --) and v_minus (+-, -+),
     from their exact Pauli coordinates (t, r) = (w, +-v)/2."""
     vectors = (d.v_plus, -d.v_plus, d.v_minus, -d.v_minus)
-    return Povm(tuple(
-        Effect._from_coordinates(label, 0.5 * w, 0.5 * v)
-        for label, w, v in zip(OUTCOME_LABELS, weights, vectors)
-    ))
+    return Povm._from_coordinates(OUTCOME_LABELS, 0.5 * np.column_stack([weights, vectors]))
 
 
 def optimal_joint_povm(spec: JointSpec) -> Povm:
@@ -391,9 +388,6 @@ def switch_povm(realization: SwitchRealization) -> Povm:
     - -> -+ with weight 1 - p.
     """
     p, c, c_prime = realization.p, realization.c, realization.c_prime
-    weights = (p, p, 1.0 - p, 1.0 - p)
-    vectors = (c, -c, c_prime, -c_prime)
-    return Povm(tuple(
-        Effect._from_coordinates(label, w, w * v)
-        for label, w, v in zip(OUTCOME_LABELS, weights, vectors)
-    ))
+    w = np.array([p, p, 1.0 - p, 1.0 - p])
+    rows = np.column_stack([w, w[:, None] * np.stack([c, -c, c_prime, -c_prime])])
+    return Povm._from_coordinates(OUTCOME_LABELS, rows)

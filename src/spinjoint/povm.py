@@ -1,15 +1,18 @@
 """Generalized one-qubit measurements.
 
-An ``Effect`` is one labelled outcome operator (t + r.sigma)/2; a ``Povm``
-is an ordered collection of them.  Effects the package builds start from
-their real Pauli coordinates (t, r), and the dense operator ``op`` is
-built from them with no checks.  A user-supplied matrix
-(``Effect(label, op)``, used by ``povm_from_json``) is stored as given
-after the full checks (shape, finite entries, Hermiticity), and its
-coordinates are read from it once.
+A ``Povm`` is an ordered, uniquely labelled set of outcome operators
+(t + r.sigma)/2, held as one (k, 4) array of their real Pauli rows (t, r)
+next to the (k, 2, 2) operator stack.  POVMs the package builds start
+from the rows, and the stack is built from them in one expression with
+no checks.  A user-supplied matrix (``Effect(label, op)``, used by
+``povm_from_json``) is stored as given after the full checks (shape,
+finite entries, Hermiticity), and its row is read from it once.
+``povm.effects`` yields one ``Effect`` per outcome; a package-built POVM
+makes them, as views of its arrays, only when asked.
 Construction checks only structure, so defective candidates can be built
-and inspected; ``validate`` reports positivity and completeness, once per
-POVM object, and the Born-rule evaluators refuse POVMs that fail it.
+and inspected; ``validate`` reports positivity and completeness over all
+rows at once, once per POVM object, and the Born-rule evaluators refuse
+POVMs that fail it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import functools
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,38 +57,47 @@ class Effect:
             raise NotHermitian(f"effect {self.label!r} is not Hermitian")
         _freeze(self, op=m, _pauli=_pauli_coordinates(m))  # op = (t + r.sigma)/2
 
-    @classmethod
-    def _from_coordinates(cls, label: str, t, r) -> Effect:
-        """Effect (t + r.sigma)/2 the package built itself: no checks."""
-        effect = object.__new__(cls)
-        object.__setattr__(effect, "label", label)
-        pauli = np.array([t, *r], dtype=float)
-        _freeze(effect, op=0.5 * (pauli[0] * ID2 + _sigma(*pauli[1:])), _pauli=pauli)
-        return effect
 
-    def min_eigenvalue(self) -> float:
-        return _coordinate_eigenvalues(self._pauli)[0]
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Povm:
-    """Ordered, uniquely labelled set of effects."""
+    """Ordered, uniquely labelled set of effects, held as one (k, 4) array
+    of Pauli rows (t, r) and the (k, 2, 2) stack of operators (t + r.sigma)/2."""
 
-    effects: tuple[Effect, ...]
+    labels: tuple[str, ...]
+    _pauli: np.ndarray = field(repr=False)
+    _ops: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        effects = tuple(self.effects)
+    def __init__(self, effects: tuple[Effect, ...]):
+        effects = tuple(effects)
         if not effects:
             raise ValueError("a POVM needs at least one effect")
-        labels = [e.label for e in effects]
+        labels = tuple(e.label for e in effects)
         if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate outcome labels: {labels}")
+            raise ValueError(f"duplicate outcome labels: {list(labels)}")
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "effects", effects)
-        _freeze(self, _pauli=np.stack([e._pauli for e in effects]))  # (t, r) rows
+        _freeze(self, _pauli=np.stack([e._pauli for e in effects]),
+                _ops=np.stack([e.op for e in effects]))
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(e.label for e in self.effects)
+    @classmethod
+    def _from_coordinates(cls, labels: tuple[str, ...], rows: np.ndarray) -> Povm:
+        """Effects (t + r.sigma)/2 the package built itself from their
+        (k, 4) rows (t, r): no checks."""
+        povm = object.__new__(cls)
+        object.__setattr__(povm, "labels", labels)
+        t, x, y, z = rows.T
+        ops = 0.5 * (t[:, None, None] * ID2 + _sigma(x, y, z).transpose(2, 0, 1))
+        _freeze(povm, _pauli=rows, _ops=ops)
+        return povm
+
+    @functools.cached_property
+    def effects(self) -> tuple[Effect, ...]:
+        """The effects; for a package-built POVM, unchecked views of the
+        rows and the operator stack, made on first use."""
+        views = tuple(object.__new__(Effect) for _ in self.labels)
+        for e, label, op, row in zip(views, self.labels, self._ops, self._pauli):
+            vars(e).update(label=label, op=op, _pauli=row)  # read-only views
+        return views
 
     def effect(self, label: str) -> Effect:
         for e in self.effects:
@@ -94,7 +106,7 @@ class Povm:
         raise KeyError(label)
 
     def __len__(self) -> int:
-        return len(self.effects)
+        return len(self.labels)
 
     def __iter__(self):
         return iter(self.effects)
@@ -103,13 +115,12 @@ class Povm:
     def _report(self) -> ValidationReport:
         """``validate``'s report, computed on first use and kept: the
         effects are frozen, so one check per object is enough."""
-        mins = tuple(e.min_eigenvalue() for e in self.effects)
-        total = np.sum([e.op for e in self.effects], axis=0)
-        defect = float(np.max(np.abs(total - ID2)))
+        mins = tuple(_coordinate_eigenvalues(self._pauli)[0].tolist())
+        defect = float(np.max(np.abs(np.sum(self._ops, axis=0) - ID2)))
         failures = []
-        for e, lo in zip(self.effects, mins):
+        for label, lo in zip(self.labels, mins):
             if lo < -TOL:
-                failures.append(f"effect {e.label!r} has eigenvalue {lo}")
+                failures.append(f"effect {label!r} has eigenvalue {lo}")
         if defect > TOL:
             failures.append(f"completeness defect {defect}")
         return ValidationReport(
@@ -136,9 +147,7 @@ class ValidationReport:
 def projective_povm(a) -> Povm:
     """Sharp two-outcome measurement along a unit direction: (1 +- a.sigma)/2."""
     u = unit3(a)
-    return Povm(
-        (Effect._from_coordinates("+", 1.0, u), Effect._from_coordinates("-", 1.0, -u))
-    )
+    return Povm._from_coordinates(("+", "-"), np.array([[1.0, *u], [1.0, *-u]]))
 
 
 def validate(povm: Povm) -> ValidationReport:
@@ -163,15 +172,15 @@ def outcome_probabilities(povm: Povm, state: QubitState) -> list[tuple[str, floa
     if not isinstance(state, QubitState):
         raise InvalidState("expected a QubitState")
     out = []
-    for e, p in zip(povm.effects, _born(povm._pauli, state).tolist()):
+    for label, p in zip(povm.labels, _born(povm._pauli, state).tolist()):
         if -TOL <= p < 0.0:
             warnings.warn(
-                f"clamped negative probability {p} for outcome {e.label!r}",
+                f"clamped negative probability {p} for outcome {label!r}",
                 RuntimeWarning,
                 stacklevel=2,
             )
             p = 0.0
-        out.append((e.label, p))
+        out.append((label, p))
     return out
 
 
@@ -199,9 +208,9 @@ def povm_to_json(povm: Povm) -> str:
     Round-trips bit-exactly at double precision.
     """
     effects = []
-    for e in povm.effects:
-        flat = [[z.real, z.imag] for z in e.op.reshape(-1)]
-        effects.append({"label": e.label, "op": flat})
+    for label, op in zip(povm.labels, povm._ops):
+        flat = [[z.real, z.imag] for z in op.reshape(-1)]
+        effects.append({"label": label, "op": flat})
     return json.dumps({"effects": effects}, indent=2)
 
 

@@ -62,13 +62,9 @@ def normalize(v) -> np.ndarray:
 
 
 def _sigma(x, y, z) -> np.ndarray:
-    """x*sigma_x + y*sigma_y + z*sigma_z from trusted coordinates: no checks."""
+    """x*sigma_x + y*sigma_y + z*sigma_z from trusted coordinates: no checks.
+    For (k,) arrays x, y, z it is the (2, 2, k) stack, matrix axes first."""
     return np.array([[z, x - 1j * y], [x + 1j * y, -z]], dtype=complex)
-
-
-def pauli_dot(v) -> np.ndarray:
-    """v . sigma = x*sigma_x + y*sigma_y + z*sigma_z, Hermitian traceless."""
-    return _sigma(*vec3(v))
 
 
 def is_hermitian(mat) -> bool:
@@ -90,10 +86,11 @@ def _length(v):
     return np.sqrt(np.vecdot(v, v))
 
 
-def _coordinate_eigenvalues(coords) -> tuple[float, float]:
-    """Ascending eigenvalues (t -+ |r|)/2 of (t + r.sigma)/2."""
-    t, r = float(coords[0]), float(_length(coords[1:]))
-    return (0.5 * (t - r), 0.5 * (t + r))
+def _coordinate_eigenvalues(coords):
+    """Ascending eigenvalues (t -+ |r|)/2 of (t + r.sigma)/2, over the
+    (..., 4) rows (t, r) of ``coords``."""
+    t, r = coords[..., 0], _length(coords[..., 1:])
+    return 0.5 * (t - r), 0.5 * (t + r)
 
 
 def _born(coords, state: QubitState):

@@ -9,11 +9,14 @@ Pauli coordinates in one kernel each, and has no Kronecker product,
 partial trace or matrix expectation value.  The oracles here take the
 other route, through explicit complex matrices (Kronecker products,
 traces, ``eigvalsh``), so that tests comparing the two stay independent.
+``pauli_dot`` builds test inputs with the library's own Pauli kernel, so
+matrices made from it round as package-built operators do.
 """
 
 import numpy as np
 
 from spinjoint import PAULI_X, PAULI_Y, PAULI_Z, JointSpec, QubitState, state_from_bloch
+from spinjoint.qubit import _sigma, vec3
 
 
 def random_unit(rng):
@@ -81,6 +84,11 @@ def reduced_state(state, qubit):
     return QubitState(np.einsum({1: "ijkj->ik", 2: "ijik->jk"}[qubit], r))
 
 
+def pauli_dot(v):
+    """v . sigma = x*sigma_x + y*sigma_y + z*sigma_z, Hermitian traceless."""
+    return _sigma(*vec3(v))
+
+
 def dense_sigma(v):
     return v[0] * PAULI_X + v[1] * PAULI_Y + v[2] * PAULI_Z
 
@@ -101,6 +109,18 @@ def dense_joint_effects(spec, optimal=False):
     return [
         0.25 * (w * np.eye(2, dtype=complex) + dense_sigma(sign * v))
         for w, v in zip(weights, (v_plus, v_minus))
+        for sign in (1, -1)
+    ]
+
+
+def dense_switch_effects(realization):
+    """The switch's four effects (w 1 +- w u.sigma)/2, w = p along c and
+    w = 1 - p along c_prime, in OUTCOME_LABELS order, as explicit complex
+    matrices."""
+    p, c, c_prime = realization.p, realization.c, realization.c_prime
+    return [
+        0.5 * (w * np.eye(2, dtype=complex) + dense_sigma(sign * w * u))
+        for w, u in ((p, c), (1.0 - p, c_prime))
         for sign in (1, -1)
     ]
 

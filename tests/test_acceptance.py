@@ -13,6 +13,7 @@ from scipy import stats as scipy_stats
 
 from helpers import (
     dense_admissibility,
+    pauli_dot,
     random_admissible_spec,
     random_direction_pair,
     random_saturating_spec,
@@ -40,7 +41,6 @@ from spinjoint import (
     optimal_joint_povm,
     optimal_settings,
     outcome_probabilities,
-    pauli_dot,
     product_form,
     product_form_check,
     projective_povm,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    pauli_dot,
     random_admissible_spec,
     random_direction_pair,
     random_saturating_spec,
@@ -24,7 +25,6 @@ from spinjoint import (
     no_signalling_probe,
     optimal_joint_povm,
     optimal_settings,
-    pauli_dot,
     projective_povm,
     sharp_chsh_reference,
     sharp_correlation,

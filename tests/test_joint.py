@@ -11,6 +11,7 @@ from scipy.optimize import brentq
 from helpers import (
     boundary_alphas,
     dense_admissibility,
+    pauli_dot,
     random_admissible_spec,
     random_direction_pair,
     random_saturating_spec,
@@ -38,7 +39,6 @@ from spinjoint import (
     optimal_settings,
     outcome_probabilities,
     outcome_values,
-    pauli_dot,
     product_form_check,
     projective_povm,
     singlet,

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 
@@ -10,7 +11,9 @@ from helpers import (
     dense_joint_effects,
     dense_outcome_probabilities,
     dense_projector,
+    dense_switch_effects,
     dense_two_party_probabilities,
+    pauli_dot,
     random_admissible_spec,
     random_direction_pair,
     random_saturating_spec,
@@ -21,6 +24,7 @@ from helpers import (
 )
 from spinjoint import (
     ID2,
+    OUTCOME_LABELS,
     TOL,
     Effect,
     InvalidPovm,
@@ -36,7 +40,6 @@ from spinjoint import (
     optimal_joint_povm,
     optimal_settings,
     outcome_probabilities,
-    pauli_dot,
     povm_from_json,
     povm_to_json,
     projective_povm,
@@ -248,10 +251,12 @@ def _package_built_povms(rng):
     """Each package-built POVM with its dense oracle matrices."""
     spec = random_admissible_spec(rng)
     saturating = random_saturating_spec(rng)
+    realization = switch_realization(saturating)
     u = random_unit(rng)
     return [
         (general_joint_povm(spec), dense_joint_effects(spec)),
         (optimal_joint_povm(saturating), dense_joint_effects(saturating, optimal=True)),
+        (switch_povm(realization), dense_switch_effects(realization)),
         (projective_povm(u), [dense_projector(u, 1), dense_projector(u, -1)]),
     ]
 
@@ -277,6 +282,41 @@ def test_package_built_povm_json_round_trip_is_bit_exact():
             restored = povm_from_json(povm_to_json(povm))
             assert restored.labels == povm.labels
             assert [e.op.tobytes() for e in restored] == [e.op.tobytes() for e in povm]
+
+
+def test_povm_contract():
+    with pytest.raises(ValueError):
+        Povm(())
+    povm = general_joint_povm(random_admissible_spec(np.random.default_rng(41)))
+    with pytest.raises(KeyError):
+        povm.effect("missing")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        povm.labels = ("+",)
+    assert len(povm) == 4
+    assert povm.labels == OUTCOME_LABELS
+    assert [e.label for e in povm] == list(OUTCOME_LABELS)
+    assert povm.effect("+-") is povm.effects[2]
+    rebuilt = Povm(povm.effects)
+    assert rebuilt.effects == povm.effects
+    assert rebuilt._pauli.tobytes() == povm._pauli.tobytes()
+    assert rebuilt._ops.tobytes() == povm._ops.tobytes()
+    for p in (povm, rebuilt):
+        arrays = [p._pauli, p._ops, *(a for e in p for a in (e.op, e._pauli))]
+        assert not any(a.flags.writeable for a in arrays)
+
+
+def test_package_paths_make_no_effect_objects():
+    rng = np.random.default_rng(43)
+    spec = random_admissible_spec(rng)
+    settings = optimal_settings(spec)
+    povm, sharp = general_joint_povm(spec), projective_povm(random_unit(rng))
+    for p in (povm, sharp):
+        validate(p)
+        outcome_probabilities(p, random_state(rng))
+    born_correlations(spec, settings)
+    no_signalling_probe(spec, settings)
+    for p in (povm, sharp, *settings._analyzers):
+        assert "effects" not in vars(p)
 
 
 def test_each_povm_is_validated_once(monkeypatch):

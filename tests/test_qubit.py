@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import expectation, reduced_state, tensor2
+from helpers import expectation, pauli_dot, reduced_state, tensor2
 from spinjoint import (
     ID2,
     PAULI_X,
@@ -16,10 +16,11 @@ from spinjoint import (
     Effect,
     InvalidState,
     NotUnit,
+    Povm,
     QubitState,
     TwoQubitState,
-    pauli_dot,
     state_from_bloch,
+    validate,
 )
 from spinjoint.qubit import _coordinate_eigenvalues, normalize, unit3
 
@@ -119,7 +120,7 @@ def test_hermitian_eigenvalues_examples():
     assert _eigenvalues(PAULI_Z) == (-1.0, 1.0)
     lo, hi = _eigenvalues(0.5 * (ID2 + 0.5 * PAULI_X))
     assert (lo, hi) == pytest.approx((0.25, 0.75), abs=1e-15)
-    assert Effect("m", PAULI_Z).min_eigenvalue() == -1.0
+    assert validate(Povm((Effect("m", PAULI_Z),))).min_eigenvalues == (-1.0,)
 
 
 @given(coord, coord, coord, coord)

@@ -6,15 +6,21 @@ draws become counts only in ``sampling._tally``
 (``sample_indices`` keeps the public index lookup), the generator's name
 is spelled only in ``sampling.py``, "+"/"-" labels are read only by
 ``joint.outcome_values``, ``chsh --n`` and ``signal`` share one
-two-analyzer run, and the checked matrix constructor ``Effect(label, op)``
-serves only matrices read by ``povm_from_json``: package code builds its
-effects from coordinates, and the measurement-plane normal a x a' is
-computed only in the uncertainty kernel ``uncertainty._relations``.
-States follow the same split: ``qubit._bloch_rows`` alone checks the
-Bloch ball and computes the coordinates of a package-built state, the
-checked matrix constructor ``QubitState(rho)`` is never called by package
-code, and only the two checked constructors ``QubitState.__post_init__``
-and ``Effect.__post_init__`` read coordinates back from a matrix."""
+two-analyzer run, and the measurement-plane normal a x a' is computed
+only in the uncertainty kernel ``uncertainty._relations``.
+POVMs are row arrays: package code builds each one from its (k, 4) Pauli
+rows in ``Povm._from_coordinates``, and the checked constructors
+``Effect(label, op)`` and ``Povm(effects)`` serve only matrices read by
+``povm_from_json``.  States follow the same split: ``qubit._bloch_rows``
+alone checks the Bloch ball and computes the coordinates of a
+package-built state, the checked matrix constructor ``QubitState(rho)``
+is never called by package code, and only the two checked constructors
+``QubitState.__post_init__`` and ``Effect.__post_init__`` read
+coordinates back from a matrix.  Operators are built from coordinates
+(``_sigma``) only by ``Povm._from_coordinates`` and
+``QubitState._from_coordinates``, and eigenvalues come from coordinates
+(``_coordinate_eigenvalues``) only in ``Povm._report`` and
+``QubitState.__post_init__``."""
 
 import ast
 from pathlib import Path
@@ -36,6 +42,8 @@ LABEL_DECODER = ("joint.py", "outcome_values")
 MATRIX_EFFECTS = ("povm.py", "povm_from_json")
 BALL_CHECK = ("qubit.py", "_bloch_rows")
 MATRIX_READERS = {("qubit.py", "QubitState.__post_init__"), ("povm.py", "Effect.__post_init__")}
+SIGMA_CALLERS = {("povm.py", "Povm._from_coordinates"), ("qubit.py", "QubitState._from_coordinates")}
+EIGENVALUE_CALLERS = {("povm.py", "Povm._report"), ("qubit.py", "QubitState.__post_init__")}
 DRAW_WALK = ("sampling.py", "_block_sum")
 UNIFORMS_CALLERS = {DRAW_WALK, ("cli.py", "cmd_uncertainty")}
 
@@ -125,6 +133,12 @@ def test_two_analyzer_runs_share_one_kernel():
 
 def test_matrix_effects_only_from_json():
     assert set(_calls("Effect")) == {MATRIX_EFFECTS}
+    assert set(_calls("Povm")) == {MATRIX_EFFECTS}
+
+
+def test_operators_and_eigenvalues_from_coordinates_in_one_place():
+    assert set(_calls("_sigma")) == SIGMA_CALLERS
+    assert set(_calls("_coordinate_eigenvalues")) == EIGENVALUE_CALLERS
 
 
 def test_one_bloch_ball_check():

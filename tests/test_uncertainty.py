@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    pauli_dot,
     random_admissible_spec,
     random_direction_pair,
     random_pure_state,
@@ -21,7 +22,6 @@ from spinjoint import (
     arthurs_goodman,
     cirelson_product,
     evaluate_all,
-    pauli_dot,
     product_form,
     product_form_check,
     robertson,
