@@ -34,9 +34,6 @@ from .qubit import ATOL, TOL, TwoQubitState, _freeze, unit3
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
-_SINGLET_VEC = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
-
-
 @dataclass(frozen=True, eq=False)
 class Settings:
     """Observer 2's two analyzer directions."""
@@ -74,8 +71,9 @@ class CorrelationSet:
 
 @functools.cache
 def singlet() -> TwoQubitState:
-    """The maximally entangled two-qubit state with E(a, b) = -a.b."""
-    return TwoQubitState(np.outer(_SINGLET_VEC, _SINGLET_VEC.conj()))
+    """The maximally entangled two-qubit state with E(a, b) = -a.b, from
+    its exact entries: T = diag(1, -1, -1, -1) holds bit for bit."""
+    return TwoQubitState(0.5 * np.outer([0, 1, -1, 0], [0, 1, -1, 0]))
 
 
 def sharp_correlation(a, b) -> float:

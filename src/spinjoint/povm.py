@@ -12,7 +12,9 @@ makes them, as views of its arrays, only when asked.
 Construction checks only structure, so defective candidates can be built
 and inspected; ``validate`` reports positivity and completeness over all
 rows at once, once per POVM object, and the Born-rule evaluators refuse
-POVMs that fail it.
+POVMs that fail it.  One-party probabilities come from one kernel over
+(N, 4) state rows, ``_probabilities``; ``outcome_probabilities`` is its
+batch of one.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .qubit import (
     TOL,
     QubitState,
     TwoQubitState,
-    _born,
     _coordinate_eigenvalues,
     _freeze,
     _pauli_coordinates,
@@ -162,26 +163,33 @@ def _require_valid(povm: Povm) -> None:
         raise InvalidPovm("; ".join(povm._report.failures))
 
 
-def outcome_probabilities(povm: Povm, state: QubitState) -> list[tuple[str, float]]:
-    """Born-rule probabilities (t + r.m)/2, in effect order.
+def _probabilities(povm: Povm, rows: np.ndarray) -> np.ndarray:
+    """Born-rule table p[i, j] = (t_j s_i + r_j.m_i)/2 of the effects
+    (t_j + r_j.sigma)/2 on the states (s_i + m_i.sigma)/2, from their
+    (N, 4) Pauli rows (s, m): one row of probabilities per state.
 
     Negatives down to -TOL, the allowance validation grants, are clamped to
-    0 and flagged with a RuntimeWarning so sampling stays deterministic.
+    0, each flagged with a RuntimeWarning so sampling stays deterministic.
     """
     _require_valid(povm)
+    probs = 0.5 * (povm._pauli @ rows[..., None])[..., 0]
+    for i, j in np.argwhere((probs >= -TOL) & (probs < 0.0)).tolist():
+        warnings.warn(
+            f"clamped negative probability {probs[i, j]} for outcome {povm.labels[j]!r}",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        probs[i, j] = 0.0
+    return probs
+
+
+def outcome_probabilities(povm: Povm, state: QubitState) -> list[tuple[str, float]]:
+    """Born-rule probabilities (t + r.m)/2, in effect order: the kernel
+    ``_probabilities`` on a batch of one state, clamping included."""
     if not isinstance(state, QubitState):
+        _require_valid(povm)  # a defective POVM is reported before the state
         raise InvalidState("expected a QubitState")
-    out = []
-    for label, p in zip(povm.labels, _born(povm._pauli, state).tolist()):
-        if -TOL <= p < 0.0:
-            warnings.warn(
-                f"clamped negative probability {p} for outcome {label!r}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            p = 0.0
-        out.append((label, p))
-    return out
+    return list(zip(povm.labels, _probabilities(povm, state._pauli[None])[0].tolist()))
 
 
 def two_party_probabilities(

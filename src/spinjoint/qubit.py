@@ -93,12 +93,6 @@ def _coordinate_eigenvalues(coords):
     return 0.5 * (t - r), 0.5 * (t + r)
 
 
-def _born(coords, state: QubitState):
-    """Born rule Re tr(m rho) = (t s + r.m)/2 for m = (t + r.sigma)/2 and
-    rho = (s + m.sigma)/2; ``coords`` may stack several m as rows."""
-    return 0.5 * (coords @ state._pauli)
-
-
 def _freeze(obj, **arrays) -> None:
     """Set read-only array attributes on a frozen dataclass instance."""
     for name, arr in arrays.items():

@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import EtaOutOfRange
 from .joint import JointSpec, max_symmetric_alpha, optimal_joint_povm, outcome_values
-from .povm import outcome_probabilities
-from .qubit import state_from_bloch
+from .povm import _probabilities
+from .qubit import _bloch_rows
 from .sampling import SeededStream, _block_sum, _tally
 
 CLONER_ETA_MAX = 2.0 / 3.0
@@ -90,23 +90,20 @@ def bb84_eve(
     povm = optimal_joint_povm(spec)
     trials = 4 * n
 
+    # cells (use_prime, minus): prepared eigenstates a+, a-, a'+, a'-
+    cells = ((False, False), (False, True), (True, False), (True, True))
+    a, ap = spec.a, spec.a_prime
+    probs = _probabilities(povm, _bloch_rows(np.stack([a, -a, ap, -ap])))
     values = np.array([outcome_values(label) for label in povm.labels])
-    cells = []  # (use_prime, minus, outcome probabilities, success outcomes)
-    for use_prime in (False, True):
-        direction = spec.a_prime if use_prime else spec.a
-        for minus in (False, True):
-            state = state_from_bloch(-direction if minus else direction)
-            probs = [p for _, p in outcome_probabilities(povm, state)]
-            # success: the announced basis's slot equals the prepared bit
-            wanted = values[:, int(use_prime)] == (-1 if minus else 1)
-            cells.append((use_prime, minus, probs, wanted))
+    # success: the announced basis's slot equals the prepared bit
+    wanted = values.T[[0, 0, 1, 1]] == np.array([[1], [-1], [1], [-1]])
 
     def successes(basis_u, bits_u, outcome_u):
         basis = basis_u < 0.5  # False: a-basis, True: a'-basis
         bits = bits_u < 0.5  # False: +, True: -
         return sum(
-            int(_tally(probs, outcome_u[(basis == use_prime) & (bits == minus)])[wanted].sum())
-            for use_prime, minus, probs, wanted in cells
+            int(_tally(p, outcome_u[(basis == use_prime) & (bits == minus)])[w].sum())
+            for (use_prime, minus), p, w in zip(cells, probs, wanted)
         )
 
     hits = _block_sum(successes, stream, (0, trials, 2 * trials), trials)

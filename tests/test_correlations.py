@@ -49,6 +49,15 @@ def test_singlet_is_pure_with_mixed_marginals():
     assert np.trace(zz @ state.rho4).real == pytest.approx(-1.0, abs=1e-12)
 
 
+def test_singlet_coordinates_are_exact():
+    state = singlet()
+    assert np.array_equal(state._pauli, np.diag([1.0, -1.0, -1.0, -1.0]))
+    want = np.zeros((4, 4))
+    want[1, 1] = want[2, 2] = 0.5
+    want[1, 2] = want[2, 1] = -0.5
+    assert np.array_equal(state.rho4, want)
+
+
 def test_sharp_correlation_examples():
     assert sharp_correlation(Z, Z) == -1.0
     assert sharp_correlation(Z, X) == 0.0

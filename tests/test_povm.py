@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from helpers import (
     dense_two_party_probabilities,
     pauli_dot,
     random_admissible_spec,
+    random_bloch_in_ball,
     random_direction_pair,
     random_saturating_spec,
     random_state,
@@ -29,6 +31,7 @@ from spinjoint import (
     Effect,
     InvalidPovm,
     InvalidState,
+    JointSpec,
     NotHermitian,
     NotUnit,
     Povm,
@@ -36,6 +39,7 @@ from spinjoint import (
     TwoQubitState,
     born_correlations,
     general_joint_povm,
+    max_symmetric_alpha,
     no_signalling_probe,
     optimal_joint_povm,
     optimal_settings,
@@ -50,6 +54,8 @@ from spinjoint import (
     two_party_probabilities,
     validate,
 )
+from spinjoint.povm import _probabilities
+from spinjoint.qubit import _bloch_rows
 
 
 def test_projective_povm_along_z():
@@ -153,6 +159,45 @@ def test_outcome_probabilities_rejects_invalid_povm():
         outcome_probabilities(bad, state_from_bloch((0, 0, 0)))
     with pytest.raises(InvalidState):
         outcome_probabilities(projective_povm((0, 0, 1)), np.eye(2))
+
+
+def test_probability_kernel_rounds_as_a_batch_of_one():
+    # every row of a batched table equals, bit for bit, the one-state call
+    # and the matrix-vector product (A @ s)/2 of the effect rows A
+    rng = np.random.default_rng(23)
+    spec = random_saturating_spec(rng)
+    povms = (
+        general_joint_povm(random_admissible_spec(rng)),
+        optimal_joint_povm(spec),
+        projective_povm(random_unit(rng)),
+        switch_povm(switch_realization(spec)),
+    )
+    blochs = np.array([random_bloch_in_ball(rng) for _ in range(2000)])
+    rows = _bloch_rows(blochs)
+    for povm in povms:
+        table = _probabilities(povm, rows)
+        assert table.shape == (2000, len(povm))
+        for bloch, row, got in zip(blochs, rows, table.tolist()):
+            assert got == [p for _, p in outcome_probabilities(povm, state_from_bloch(bloch))]
+            assert got == (0.5 * (povm._pauli @ row)).tolist()
+
+
+def test_clamp_warning_names_the_caller():
+    # cos(pi) leaves outcome "--" at -6.1e-18 on this state
+    alpha = max_symmetric_alpha(math.pi)
+    povm = general_joint_povm(JointSpec.from_angle(math.pi, alpha, alpha))
+    state = state_from_bloch((0.2, -0.1, 0.5))
+    with pytest.warns(RuntimeWarning) as caught:
+        probs = dict(outcome_probabilities(povm, state))
+    assert probs["--"] == 0.0
+    assert [(w.filename, str(w.message)) for w in caught] == [
+        (__file__, "clamped negative probability -6.123233995736766e-18 for outcome '--'")
+    ]
+    # the kernel warns once per clamped (state, outcome) entry
+    with pytest.warns(RuntimeWarning) as caught:
+        table = _probabilities(povm, np.stack([state._pauli] * 3))
+    assert len(caught) == 3
+    assert table.tolist() == [list(probs.values())] * 3
 
 
 def test_two_party_singlet_anticorrelation():

@@ -16,11 +16,17 @@ alone checks the Bloch ball and computes the coordinates of a
 package-built state, the checked matrix constructor ``QubitState(rho)``
 is never called by package code, and only the two checked constructors
 ``QubitState.__post_init__`` and ``Effect.__post_init__`` read
-coordinates back from a matrix.  Operators are built from coordinates
-(``_sigma``) only by ``Povm._from_coordinates`` and
-``QubitState._from_coordinates``, and eigenvalues come from coordinates
-(``_coordinate_eigenvalues``) only in ``Povm._report`` and
-``QubitState.__post_init__``."""
+coordinates back from a matrix.  The one two-qubit state the package
+builds, ``correlations.singlet``, is its only call of the checked
+``TwoQubitState(rho4)``.  One-party Born probabilities come from one
+kernel over state rows, ``povm._probabilities``, called only by
+``outcome_probabilities`` (a batch of one) and ``scenarios.bb84_eve``
+(its four cells in one call), so the scenarios build no state object and
+call neither ``state_from_bloch`` nor ``outcome_probabilities``.
+Operators are built from coordinates (``_sigma``) only by
+``Povm._from_coordinates`` and ``QubitState._from_coordinates``, and
+eigenvalues come from coordinates (``_coordinate_eigenvalues``) only in
+``Povm._report`` and ``QubitState.__post_init__``."""
 
 import ast
 from pathlib import Path
@@ -44,6 +50,8 @@ BALL_CHECK = ("qubit.py", "_bloch_rows")
 MATRIX_READERS = {("qubit.py", "QubitState.__post_init__"), ("povm.py", "Effect.__post_init__")}
 SIGMA_CALLERS = {("povm.py", "Povm._from_coordinates"), ("qubit.py", "QubitState._from_coordinates")}
 EIGENVALUE_CALLERS = {("povm.py", "Povm._report"), ("qubit.py", "QubitState.__post_init__")}
+SINGLET = ("correlations.py", "singlet")
+PROBABILITY_CALLERS = {("povm.py", "outcome_probabilities"), ("scenarios.py", "bb84_eve")}
 DRAW_WALK = ("sampling.py", "_block_sum")
 UNIFORMS_CALLERS = {DRAW_WALK, ("cli.py", "cmd_uncertainty")}
 
@@ -154,3 +162,14 @@ def test_one_bloch_ball_check():
 def test_coordinates_read_from_matrices_only_when_checked():
     assert set(_calls("_pauli_coordinates")) == MATRIX_READERS
     assert _calls("QubitState") == []
+
+
+def test_one_singlet_and_one_probability_kernel():
+    assert _calls("TwoQubitState") == [SINGLET]
+    assert set(_calls("_probabilities")) == PROBABILITY_CALLERS
+    scenario_calls = {
+        _name(node.func)
+        for path, _, node in _nodes()
+        if path == "scenarios.py" and isinstance(node, ast.Call)
+    }
+    assert not {"state_from_bloch", "outcome_probabilities"} & scenario_calls
