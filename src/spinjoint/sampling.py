@@ -5,8 +5,10 @@ Draws come from a counter-addressable Philox stream keyed by
 (seed, stream_id, i).  Trial ranges can therefore be evaluated in chunks
 or fanned out across workers and the merged tallies are identical to a
 serial run, for any partition.  Every count walks its draws through
-``_block_sum`` in blocks of at most ``_BLOCK``, so memory does not grow
-with n.  One- and two-party samples are both ``SampleStats``.
+``_block_sum``, which keeps one generator per range and draws blocks of
+at most ``_BLOCK`` draws (512 KiB of doubles, sized for the L2 cache),
+so memory does not grow with n.  One- and two-party samples are both
+``SampleStats``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .qubit import QubitState
 
 GENERATOR_NAME = "Philox"
 _WORDS_PER_COUNTER = 4  # Philox emits 4 64-bit words per counter step
-_BLOCK = 1 << 20  # draws per block of each range: 8 MiB of doubles
+_BLOCK = 1 << 16  # draws per block of each range: 512 KiB of doubles
 
 
 @dataclass(frozen=True)
@@ -39,16 +41,20 @@ class SeededStream:
         Stable under chunking: concatenating adjacent blocks reproduces a
         single larger block exactly.
         """
-        if offset < 0 or count < 0:
+        if count < 0:
             raise ValueError("offset and count must be nonnegative")
-        key = np.random.SeedSequence(
-            entropy=self.seed, spawn_key=(self.stream_id,)
-        )
+        return self._generator(offset).random(count)
+
+    def _generator(self, offset: int) -> np.random.Generator:
+        """A generator whose next double is draw ``offset`` of this stream."""
+        if offset < 0:
+            raise ValueError("offset and count must be nonnegative")
+        key = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         bit_gen = np.random.Philox(key)
         bit_gen.advance(offset // _WORDS_PER_COUNTER)
-        skip = offset % _WORDS_PER_COUNTER
-        vals = np.random.Generator(bit_gen).random(skip + count)
-        return vals[skip:]
+        gen = np.random.Generator(bit_gen)
+        gen.random(offset % _WORDS_PER_COUNTER)  # the draws before offset in its counter
+        return gen
 
     def metadata(self, n: int) -> dict:
         return {
@@ -97,13 +103,15 @@ def _tally(probabilities, uniforms) -> np.ndarray:
 def _block_sum(count, stream: SeededStream, offsets, n: int):
     """Sum of ``count`` over the aligned blocks of the draw ranges [o, o + n)
     of ``stream``, one block of at most ``_BLOCK`` draws per offset: the
-    package's one walk over stream draws.  No block outlives its ``count``
-    call: blocks go straight into its arguments, never into a loop variable
-    while the next ones are drawn, so memory holds one block per range."""
+    package's one walk over stream draws.  Each range keeps one generator.
+    No block outlives its ``count`` call: blocks go straight into its
+    arguments, never into a loop variable while the next ones are drawn,
+    so memory holds one block per range."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    gens = [stream._generator(o) for o in offsets]
     return sum(
-        count(*(stream.uniforms(o + start, min(_BLOCK, n - start)) for o in offsets))
+        count(*(gen.random(min(_BLOCK, n - start)) for gen in gens))
         for start in range(0, n, _BLOCK)
     )
 

@@ -140,6 +140,52 @@ def test_memory_does_not_grow_with_n():
         assert max(small, large) <= bound * block_bytes, (small / block_bytes, large / block_bytes)
 
 
+def test_block_per_range_stays_cache_sized():
+    # one block of doubles per range is in memory at a time; bb84_eve walks three
+    assert 8 * sampling._BLOCK <= 1 << 20
+
+
+@pytest.mark.parametrize("block", [1, 7, 1000])
+@pytest.mark.parametrize("stream_id", [0, 5])
+@pytest.mark.parametrize(
+    "offsets", [(0,), (1,), (2,), (3,), (4,), (5,), (1, 2506, 5011), (0, 2503, 5006)]
+)
+def test_block_walk_reproduces_one_draw(monkeypatch, block, stream_id, offsets):
+    # oracle: one fresh generator per range drawing o + n doubles, no advance;
+    # the offsets cover every position within a Philox counter, alone and as
+    # three ranges walked together with blocks that end off the counter grid
+    seed, n = 2024, 2503
+    monkeypatch.setattr(sampling, "_BLOCK", block)
+    seen = [[] for _ in offsets]
+
+    def count(*blocks):
+        assert len(blocks) == len(offsets)
+        for kept, u in zip(seen, blocks):
+            kept.append(u.copy())
+        return 0
+
+    sampling._block_sum(count, SeededStream(seed, stream_id), offsets, n)
+    key = np.random.SeedSequence(entropy=seed, spawn_key=(stream_id,))
+    for o, kept in zip(offsets, seen):
+        expected = np.random.Generator(np.random.Philox(key)).random(o + n)[o:]
+        assert np.array_equal(np.concatenate(kept), expected), o
+
+
+def test_negative_offsets_and_counts_are_refused():
+    stream = SeededStream(8)
+    povm = projective_povm(Z)
+    message = "offset and count must be nonnegative"
+    calls = (
+        lambda: stream.uniforms(-1, 3),
+        lambda: stream.uniforms(0, -1),
+        lambda: sample_povm(povm, state_from_bloch(Z), 10, stream, offset=-1),
+        lambda: sample_two_party(povm, X, 10, stream, offset=-2),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def test_sample_povm_deterministic_outcome():
     stats = sample_povm(
         projective_povm(Z), state_from_bloch(Z), 1000, SeededStream(5)

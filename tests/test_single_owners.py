@@ -1,7 +1,9 @@
-"""Each decision has one owner in spinjoint: draws come only from
-``SeededStream.uniforms``, which only the one walk over stream draws
-``sampling._block_sum`` calls (and ``cli.cmd_uncertainty``, which reads
-its draws in one piece), only that walk reads the block size ``_BLOCK``,
+"""Each decision has one owner in spinjoint: the Philox generator is
+keyed and positioned only in ``SeededStream._generator``, which only
+``SeededStream.uniforms`` and the one walk over stream draws
+``sampling._block_sum`` call, ``uniforms`` is called in the package only
+by ``cli.cmd_uncertainty`` (which reads its draws in one piece), only the
+walk reads the block size ``_BLOCK``,
 draws become counts only in ``sampling._tally``
 (``sample_indices`` keeps the public index lookup), the generator's name
 is spelled only in ``sampling.py``, "+"/"-" labels are read only by
@@ -40,8 +42,8 @@ OWNERS = {
     "bincount": ("sampling.py", "_tally"),
     "count_nonzero": ("sampling.py", "_tally"),
     "searchsorted": ("sampling.py", "sample_indices"),
-    "Philox": ("sampling.py", "SeededStream.uniforms"),
-    "SeedSequence": ("sampling.py", "SeededStream.uniforms"),
+    "Philox": ("sampling.py", "SeededStream._generator"),
+    "SeedSequence": ("sampling.py", "SeededStream._generator"),
     "cross": ("uncertainty.py", "_relations"),
 }
 LABEL_DECODER = ("joint.py", "outcome_values")
@@ -53,7 +55,8 @@ EIGENVALUE_CALLERS = {("povm.py", "Povm._report"), ("qubit.py", "QubitState.__po
 SINGLET = ("correlations.py", "singlet")
 PROBABILITY_CALLERS = {("povm.py", "outcome_probabilities"), ("scenarios.py", "bb84_eve")}
 DRAW_WALK = ("sampling.py", "_block_sum")
-UNIFORMS_CALLERS = {DRAW_WALK, ("cli.py", "cmd_uncertainty")}
+GENERATOR_CALLERS = {("sampling.py", "SeededStream.uniforms"), DRAW_WALK}
+UNIFORMS_CALLERS = {("cli.py", "cmd_uncertainty")}
 
 
 def _nodes():
@@ -100,6 +103,7 @@ def test_one_draw_and_count_site():
 
 
 def test_one_walk_over_stream_draws():
+    assert set(_calls("_generator")) == GENERATOR_CALLERS
     assert set(_calls("uniforms")) == UNIFORMS_CALLERS
     block_reads = {
         (path, func)
