@@ -30,7 +30,7 @@ from .correlations import (
     optimal_settings,
     sharp_chsh_reference,
 )
-from .errors import SpinJointError
+from .errors import SpinJointError, ZeroAlpha
 from .joint import (
     JointSpec,
     _check_sharpness,
@@ -178,18 +178,12 @@ def _csv_text(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _emit_rows(args, rows: list[dict]) -> None:
+def _emit_rows(args, rows: list[dict] | dict) -> None:
+    """Rows, or one record (a dict): json as given, csv one line per dict."""
     if args.format == "json":
         _emit(args, json.dumps(rows, indent=2) + "\n")
     else:
-        _emit(args, _csv_text(rows))
-
-
-def _emit_record(args, record: dict) -> None:
-    if args.format == "json":
-        _emit(args, json.dumps(record, indent=2) + "\n")
-    else:
-        _emit_rows(args, [record])
+        _emit(args, _csv_text([rows] if isinstance(rows, dict) else rows))
 
 
 def cmd_validate(parser, args) -> int:
@@ -210,12 +204,12 @@ def cmd_validate(parser, args) -> int:
         report = validate_povm(general_joint_povm(spec))
         record["completeness_defect"] = report.completeness_defect
         if report.passes:
-            _emit_record(args, record)
+            _emit_rows(args, record)
             return 0
         record["error"] = "; ".join(report.failures)
     else:
         record["error"] = f"BoundViolated: effect eigenvalue {min(eigs)} < 0"
-    _emit_record(args, record)
+    _emit_rows(args, record)
     return 1
 
 
@@ -261,7 +255,7 @@ def cmd_chsh(parser, args) -> int:
         record["chsh_empirical"] = chsh_value(CorrelationSet(*empirical))
         record["n"] = args.n
         record["seed"] = args.seed
-    _emit_record(args, record)
+    _emit_rows(args, record)
     return 0 if value <= 2.0 + TOL else 1
 
 
@@ -302,7 +296,7 @@ def cmd_signal(parser, args) -> int:
         "seed": args.seed,
         "generator": GENERATOR_NAME,
     }
-    _emit_record(args, record)
+    _emit_rows(args, record)
     return 0 if abs(result.z_score) < 5.0 else 1
 
 
@@ -319,8 +313,10 @@ def _random_bloch(u: np.ndarray) -> np.ndarray:
 
 def cmd_uncertainty(parser, args) -> int:
     spec = _resolve_spec(parser, args)
-    if spec.alpha == 0.0 or spec.alpha_prime == 0.0:
-        parser.error("uncertainty relations need nonzero sharpness factors")
+    try:
+        product_form(spec)  # the library's sharpness check, before any draw
+    except ZeroAlpha as exc:
+        parser.error(str(exc))
     u = SeededStream(args.seed).uniforms(0, 3 * args.samples)
     table = _relations(_bloch_rows(_random_bloch(u))[:, 1:], spec)
     lhs = np.column_stack([table[r][0] for r in RELATION_IDS])
@@ -375,7 +371,7 @@ def cmd_cloning(parser, args) -> int:
         "min_gap": worst.gap,
         "min_gap_theta_deg": math.degrees(worst.theta),
     }
-    _emit_record(args, record)
+    _emit_rows(args, record)
     return 0
 
 

@@ -49,7 +49,7 @@ class DegenerateDirection(SpinJointError):
 
 
 class ZeroAlpha(SpinJointError):
-    """Product-form relations divide by alpha; zero is excluded."""
+    """The relations divide by alpha^2 alpha'^2, which is 0 (alpha = 0, or underflow)."""
 
 
 class CollinearDirections(SpinJointError):

@@ -1,20 +1,19 @@
 """Generalized one-qubit measurements.
 
 A ``Povm`` is an ordered, uniquely labelled set of outcome operators
-(t + r.sigma)/2, held as one (k, 4) array of their real Pauli rows (t, r)
-next to the (k, 2, 2) operator stack.  POVMs the package builds start
-from the rows, and the stack is built from them in one expression with
-no checks.  A user-supplied matrix (``Effect(label, op)``, used by
-``povm_from_json``) is stored as given after the full checks (shape,
-finite entries, Hermiticity), and its row is read from it once.
-``povm.effects`` yields one ``Effect`` per outcome; a package-built POVM
-makes them, as views of its arrays, only when asked.
+(t + r.sigma)/2, held only as one (k, 4) array of their real Pauli rows
+(t, r).  POVMs the package builds start from the rows, with no checks.
+A user-supplied matrix (``Effect(label, op)``, used by ``povm_from_json``)
+is kept as given after the full checks (shape, finite entries,
+Hermiticity), and its row is read from it once.  ``povm.effects`` yields
+one ``Effect`` per outcome; a package-built POVM makes their matrices
+from the rows only when asked (iteration, ``effect(label)``, JSON).
 Construction checks only structure, so defective candidates can be built
-and inspected; ``validate`` reports positivity and completeness over all
-rows at once, once per POVM object, and the Born-rule evaluators refuse
-POVMs that fail it.  One-party probabilities come from one kernel over
-(N, 4) state rows, ``_probabilities``; ``outcome_probabilities`` is its
-batch of one.
+and inspected; ``validate`` reports positivity and completeness from the
+rows, once per POVM object, and the Born-rule evaluators refuse POVMs
+that fail it.  One-party probabilities come from one kernel over (N, 4)
+state rows, ``_probabilities``; ``outcome_probabilities`` is its batch
+of one.
 """
 
 from __future__ import annotations
@@ -61,12 +60,11 @@ class Effect:
 
 @dataclass(frozen=True, eq=False, init=False)
 class Povm:
-    """Ordered, uniquely labelled set of effects, held as one (k, 4) array
-    of Pauli rows (t, r) and the (k, 2, 2) stack of operators (t + r.sigma)/2."""
+    """Ordered, uniquely labelled set of effects (t + r.sigma)/2, held as
+    one (k, 4) array of their Pauli rows (t, r)."""
 
     labels: tuple[str, ...]
     _pauli: np.ndarray = field(repr=False)
-    _ops: np.ndarray = field(repr=False)
 
     def __init__(self, effects: tuple[Effect, ...]):
         effects = tuple(effects)
@@ -77,8 +75,7 @@ class Povm:
             raise ValueError(f"duplicate outcome labels: {list(labels)}")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "effects", effects)
-        _freeze(self, _pauli=np.stack([e._pauli for e in effects]),
-                _ops=np.stack([e.op for e in effects]))
+        _freeze(self, _pauli=np.stack([e._pauli for e in effects]))
 
     @classmethod
     def _from_coordinates(cls, labels: tuple[str, ...], rows: np.ndarray) -> Povm:
@@ -86,17 +83,18 @@ class Povm:
         (k, 4) rows (t, r): no checks."""
         povm = object.__new__(cls)
         object.__setattr__(povm, "labels", labels)
-        t, x, y, z = rows.T
-        ops = 0.5 * (t[:, None, None] * ID2 + _sigma(x, y, z).transpose(2, 0, 1))
-        _freeze(povm, _pauli=rows, _ops=ops)
+        _freeze(povm, _pauli=rows)
         return povm
 
     @functools.cached_property
     def effects(self) -> tuple[Effect, ...]:
-        """The effects; for a package-built POVM, unchecked views of the
-        rows and the operator stack, made on first use."""
+        """The effects; for a package-built POVM, unchecked read-only
+        operators 0.5 (t + r.sigma) made from the rows on first use."""
+        t, x, y, z = self._pauli.T
+        ops = 0.5 * (t[:, None, None] * ID2 + _sigma(x, y, z).transpose(2, 0, 1))
+        ops.setflags(write=False)
         views = tuple(object.__new__(Effect) for _ in self.labels)
-        for e, label, op, row in zip(views, self.labels, self._ops, self._pauli):
+        for e, label, op, row in zip(views, self.labels, ops, self._pauli):
             vars(e).update(label=label, op=op, _pauli=row)  # read-only views
         return views
 
@@ -114,10 +112,16 @@ class Povm:
 
     @functools.cached_property
     def _report(self) -> ValidationReport:
-        """``validate``'s report, computed on first use and kept: the
-        effects are frozen, so one check per object is enough."""
+        """``validate``'s report, computed on first use and kept (the
+        effects are frozen); the sum adds each row's entries (t +- z)/2
+        and (x + iy)/2 in order, as the matrices 0.5 (t + r.sigma) would."""
         mins = tuple(_coordinate_eigenvalues(self._pauli)[0].tolist())
-        defect = float(np.max(np.abs(np.sum(self._ops, axis=0) - ID2)))
+        up = down = off = 0.0
+        for t, x, y, z in self._pauli.tolist():
+            up += 0.5 * (t + z)
+            down += 0.5 * (t - z)
+            off += 0.5 * complex(x, y)
+        defect = max(abs(up - 1.0), abs(down - 1.0), abs(off))
         failures = []
         for label, lo in zip(self.labels, mins):
             if lo < -TOL:
@@ -216,9 +220,9 @@ def povm_to_json(povm: Povm) -> str:
     Round-trips bit-exactly at double precision.
     """
     effects = []
-    for label, op in zip(povm.labels, povm._ops):
-        flat = [[z.real, z.imag] for z in op.reshape(-1)]
-        effects.append({"label": label, "op": flat})
+    for e in povm.effects:
+        flat = [[z.real, z.imag] for z in e.op.reshape(-1)]
+        effects.append({"label": e.label, "op": flat})
     return json.dumps({"effects": effects}, indent=2)
 
 

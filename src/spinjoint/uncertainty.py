@@ -66,9 +66,9 @@ def _relations(m, spec: JointSpec | None = None, a=None, a_prime=None) -> dict:
     n = 1 if m is None else len(m)
     table = {}
     if spec is not None:
-        if spec.alpha == 0.0 or spec.alpha_prime == 0.0:
-            raise ZeroAlpha("product-form relations require nonzero sharpness")
         x, y = spec.alpha**2, spec.alpha_prime**2
+        if x * y == 0.0:  # alpha = 0, or alpha^2 alpha'^2 underflows
+            raise ZeroAlpha("the relations divide by alpha^2 alpha'^2, which is 0 here")
         sin_sq = np.full(n, max(0.0, 1.0 - cos_t * cos_t))
         table["product_form"] = (np.full(n, (1.0 - x) * (1.0 - y) / (x * y)), sin_sq)
         table["cirelson_product"] = (np.full(n, (2.0 - x) * (2.0 - y) / (x * y)), sin_sq)

@@ -76,6 +76,8 @@ def test_validate_conflicting_direction_flags(capsys):
         ["validate", "--alpha", "0.9", "--alpha-prime", "optimal-symmetric"],
         ["signal", "--alpha", "optimal-symmetric", "--alpha-prime", "0.5", "--n", "10", "--seed", "1"],
         ["validate", "--a=1e308,1e308,0"],  # |a| overflows
+        ["uncertainty", "--alpha", "0", "--alpha-prime", "0.5"],
+        ["uncertainty", "--alpha", "1e-200", "--alpha-prime", "1e-200"],  # alpha^2 underflows
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -91,6 +93,19 @@ def test_usage_errors_exit_2(capsys, argv):
 
 def _must_not_run(*args):
     raise AssertionError("the command ran before --out was checked")
+
+
+@pytest.mark.parametrize("alpha", ["0", "1e-160", "1e-200"])
+def test_vanishing_sharpness_is_refused_before_any_draw(capsys, monkeypatch, alpha):
+    # alpha^2 alpha'^2 is 0: the library's ZeroAlpha becomes the usage error
+    monkeypatch.setattr(cli, "SeededStream", _must_not_run)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["uncertainty", "--alpha", alpha, "--alpha-prime", alpha])
+    out = capsys.readouterr()
+    assert excinfo.value.code == 2
+    assert out.out == ""
+    assert out.err.startswith("usage: spinjoint")
+    assert "alpha^2 alpha'^2" in out.err
 
 
 @pytest.mark.parametrize(

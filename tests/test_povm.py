@@ -35,8 +35,11 @@ from spinjoint import (
     NotHermitian,
     NotUnit,
     Povm,
+    SeededStream,
     Settings,
+    SwitchRealization,
     TwoQubitState,
+    bb84_eve,
     born_correlations,
     general_joint_povm,
     max_symmetric_alpha,
@@ -47,6 +50,9 @@ from spinjoint import (
     povm_from_json,
     povm_to_json,
     projective_povm,
+    sample_povm,
+    sample_two_party,
+    signalling_experiment,
     singlet,
     state_from_bloch,
     switch_povm,
@@ -54,6 +60,8 @@ from spinjoint import (
     two_party_probabilities,
     validate,
 )
+from spinjoint import povm as povm_module
+from spinjoint.cli import main
 from spinjoint.povm import _probabilities
 from spinjoint.qubit import _bloch_rows
 
@@ -329,6 +337,62 @@ def test_package_built_povm_json_round_trip_is_bit_exact():
             assert [e.op.tobytes() for e in restored] == [e.op.tobytes() for e in povm]
 
 
+def _dense_defect(oracle):
+    """max|sum(effects) - identity| of explicit complex matrices."""
+    return float(np.max(np.abs(np.sum(oracle, axis=0) - ID2)))
+
+
+def test_completeness_defect_equals_dense_oracle_bit_for_bit():
+    # the defect comes from the rows, and must be the very number the
+    # oracle matrices give, rounding included
+    rng = np.random.default_rng(47)
+    nonzero = 0
+    for _ in range(500):
+        for povm, oracle in _package_built_povms(rng):
+            defect = validate(povm).completeness_defect
+            assert defect == _dense_defect(oracle)
+            nonzero += defect != 0.0
+    assert nonzero > 100  # rounding shows, so the comparison has teeth
+    for u in np.vstack([np.eye(3), -np.eye(3)]):  # exact zeros in u
+        oracle = [dense_projector(u, 1), dense_projector(u, -1)]
+        assert validate(projective_povm(u)).completeness_defect == _dense_defect(oracle) == 0.0
+        for p in (0.0, 1.0):  # a switch that never uses one of its projectors
+            realization = SwitchRealization(p, u, random_unit(rng))
+            oracle = dense_switch_effects(realization)
+            assert validate(switch_povm(realization)).completeness_defect == _dense_defect(oracle)
+
+
+def test_package_paths_make_no_operator_matrices(monkeypatch, capsys):
+    made = []
+    sigma = povm_module._sigma
+    monkeypatch.setattr(povm_module, "_sigma", lambda *r: made.append(r) or sigma(*r))
+    rng = np.random.default_rng(53)
+    spec = random_admissible_spec(rng)
+    settings = optimal_settings(spec)
+    povm = general_joint_povm(spec)
+    state = random_state(rng)
+    stream = SeededStream(7)
+    validate(povm)
+    outcome_probabilities(povm, state)
+    born_correlations(spec, settings)
+    no_signalling_probe(spec, settings)
+    sample_povm(povm, state, 1000, stream)
+    sample_two_party(povm, settings.b, 1000, stream)
+    signalling_experiment(spec, settings, 1000, stream)
+    bb84_eve(1000, stream)
+    for argv in (
+        ["validate"],
+        ["chsh", "--n", "1000", "--seed", "1"],
+        ["signal", "--n", "1000", "--seed", "1"],
+        ["sample", "--n", "1000", "--seed", "1"],
+        ["bb84", "--n", "1000", "--seed", "1"],
+    ):
+        assert main(argv) == 0
+    assert made == []
+    list(povm)  # asking for the effects is what makes their matrices
+    assert len(made) == 1
+
+
 def test_povm_contract():
     with pytest.raises(ValueError):
         Povm(())
@@ -344,9 +408,9 @@ def test_povm_contract():
     rebuilt = Povm(povm.effects)
     assert rebuilt.effects == povm.effects
     assert rebuilt._pauli.tobytes() == povm._pauli.tobytes()
-    assert rebuilt._ops.tobytes() == povm._ops.tobytes()
+    assert [e.op.tobytes() for e in rebuilt] == [e.op.tobytes() for e in povm]
     for p in (povm, rebuilt):
-        arrays = [p._pauli, p._ops, *(a for e in p for a in (e.op, e._pauli))]
+        arrays = [p._pauli, *(a for e in p for a in (e.op, e._pauli))]
         assert not any(a.flags.writeable for a in arrays)
 
 

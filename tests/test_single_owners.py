@@ -26,7 +26,8 @@ kernel over state rows, ``povm._probabilities``, called only by
 (its four cells in one call), so the scenarios build no state object and
 call neither ``state_from_bloch`` nor ``outcome_probabilities``.
 Operators are built from coordinates (``_sigma``) only by
-``Povm._from_coordinates`` and ``QubitState._from_coordinates``, and
+``Povm.effects``, the one place a POVM's matrices are made, and by
+``QubitState._from_coordinates``, and
 eigenvalues come from coordinates (``_coordinate_eigenvalues``) only in
 ``Povm._report`` and ``QubitState.__post_init__``."""
 
@@ -50,7 +51,7 @@ LABEL_DECODER = ("joint.py", "outcome_values")
 MATRIX_EFFECTS = ("povm.py", "povm_from_json")
 BALL_CHECK = ("qubit.py", "_bloch_rows")
 MATRIX_READERS = {("qubit.py", "QubitState.__post_init__"), ("povm.py", "Effect.__post_init__")}
-SIGMA_CALLERS = {("povm.py", "Povm._from_coordinates"), ("qubit.py", "QubitState._from_coordinates")}
+SIGMA_CALLERS = {("povm.py", "Povm.effects"), ("qubit.py", "QubitState._from_coordinates")}
 EIGENVALUE_CALLERS = {("povm.py", "Povm._report"), ("qubit.py", "QubitState.__post_init__")}
 SINGLET = ("correlations.py", "singlet")
 PROBABILITY_CALLERS = {("povm.py", "outcome_probabilities"), ("scenarios.py", "bb84_eve")}

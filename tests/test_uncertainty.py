@@ -71,6 +71,24 @@ def test_product_form_rejects_zero_alpha():
         product_form(JointSpec(X, Z, 0.0, 0.5))
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1e-160, 1e-200])
+def test_vanishing_sharpness_product_raises_zero_alpha(alpha):
+    # alpha^2 alpha'^2 is 0 here, exactly or by underflow below ~1e-154
+    spec = JointSpec(X, Z, alpha, alpha)
+    for relation in (product_form, cirelson_product):
+        with pytest.raises(ZeroAlpha):
+            relation(spec)
+    for relation in (total_joint, arthurs_goodman, evaluate_all):
+        with pytest.raises(ZeroAlpha):
+            relation(spec, MIXED)
+
+
+def test_tiny_sharpness_gives_an_infinite_lhs():
+    spec = JointSpec(X, Z, 1e-78, 1e-78)  # alpha^2 alpha'^2 = 1e-312, subnormal
+    assert product_form(spec).lhs == math.inf
+    assert cirelson_product(spec).lhs == math.inf
+
+
 def test_product_form_saturates_exactly_when_bound_does():
     rng = np.random.default_rng(101)
     for _ in range(100):
