@@ -5,10 +5,11 @@ Draws come from a counter-addressable Philox stream keyed by
 (seed, stream_id, i).  Trial ranges can therefore be evaluated in chunks
 or fanned out across workers and the merged tallies are identical to a
 serial run, for any partition.  Every count walks its draws through
-``_block_sum``, which keeps one generator per range and draws blocks of
-at most ``_BLOCK`` draws (512 KiB of doubles, sized for the L2 cache),
-so memory does not grow with n.  One- and two-party samples are both
-``SampleStats``.
+``_block_sum``, which keeps one generator per range and hands over blocks
+of at most ``_BLOCK`` raw 64-bit Philox words (512 KiB, sized for the L2
+cache), so memory does not grow with n.  Word w is the uniform
+u = (w >> 11)·2⁻⁵³ of ``uniforms``; ``_tally`` compares the words with
+exact integer thresholds.  One- and two-party samples are both ``SampleStats``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .qubit import QubitState
 
 GENERATOR_NAME = "Philox"
 _WORDS_PER_COUNTER = 4  # Philox emits 4 64-bit words per counter step
-_BLOCK = 1 << 16  # draws per block of each range: 512 KiB of doubles
+_BLOCK = 1 << 16  # draws per block of each range: 512 KiB of 64-bit words
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,7 @@ class SeededStream:
         return self._generator(offset).random(count)
 
     def _generator(self, offset: int) -> np.random.Generator:
-        """A generator whose next double is draw ``offset`` of this stream."""
+        """A generator whose next double or raw word is draw ``offset`` of this stream."""
         if offset < 0:
             raise ValueError("offset and count must be nonnegative")
         key = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
@@ -87,31 +88,44 @@ def sample_indices(probabilities, uniforms) -> np.ndarray:
     return np.searchsorted(np.cumsum(p)[:-1], np.asarray(uniforms), side="right")
 
 
-def _tally(probabilities, uniforms) -> np.ndarray:
-    """Outcome counts of the draws ``uniforms``: the package's one
-    draw-and-count step.
+def _word_bound(c) -> int:
+    """Threshold on raw words for the boundary c: u = (w >> 11)·2⁻⁵³ < c exactly
+    when w < ceil(c·2⁵³) << 11.  Every word is below 2⁶⁴ (c >= 1; numpy compares
+    uint64 words with that Python int exactly) and none below 0 (c <= 0 or nan)."""
+    if not 0.0 < c < 1.0:
+        return 1 << 64 if c >= 1.0 else 0
+    return math.ceil(c * 2**53) << 11
 
-    ``below[k]`` draws fall under the inner boundary ``cum[k]``, so outcome
-    k gets ``below[k] - below[k - 1]``: the same counts as binning
-    ``sample_indices``, without sorting or indexing every draw.
+
+def _tally(probabilities, words, where=None) -> np.ndarray:
+    """Outcome counts of the raw stream words ``words``, or of those where
+    the mask ``where`` is true: the package's one draw-and-count step.
+
+    ``below[k]`` words fall under the threshold ``_word_bound(cum[k])``, so
+    outcome k gets ``below[k] - below[k - 1]``: the same counts as binning
+    ``sample_indices`` of the words' doubles, without making the doubles,
+    sorting or indexing every draw.
     """
-    cum = np.cumsum(np.maximum(np.asarray(probabilities, dtype=float), 0.0))[:-1]
-    below = [np.count_nonzero(uniforms < c) for c in cum]
-    return np.diff([0, *below, len(uniforms)])
+    cum = np.cumsum(np.maximum(np.asarray(probabilities, dtype=float), 0.0))[:-1].tolist()
+    if where is None:
+        below = [np.count_nonzero(words < _word_bound(c)) for c in cum]
+        return np.diff([0, *below, len(words)])
+    below = [np.count_nonzero((words < _word_bound(c)) & where) for c in cum]
+    return np.diff([0, *below, np.count_nonzero(where)])
 
 
 def _block_sum(count, stream: SeededStream, offsets, n: int):
     """Sum of ``count`` over the aligned blocks of the draw ranges [o, o + n)
-    of ``stream``, one block of at most ``_BLOCK`` draws per offset: the
-    package's one walk over stream draws.  Each range keeps one generator.
-    No block outlives its ``count`` call: blocks go straight into its
-    arguments, never into a loop variable while the next ones are drawn,
-    so memory holds one block per range."""
+    of ``stream``, one block of at most ``_BLOCK`` raw Philox words per
+    offset: the package's one walk over stream draws.  Each range keeps one
+    generator.  No block outlives its ``count`` call: blocks go straight
+    into its arguments, never into a loop variable while the next ones are
+    drawn, so memory holds one block per range."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    gens = [stream._generator(o) for o in offsets]
+    bit_gens = [stream._generator(o).bit_generator for o in offsets]
     return sum(
-        count(*(gen.random(min(_BLOCK, n - start)) for gen in gens))
+        count(*(bit_gen.random_raw(min(_BLOCK, n - start)) for bit_gen in bit_gens))
         for start in range(0, n, _BLOCK)
     )
 

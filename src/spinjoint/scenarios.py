@@ -25,7 +25,7 @@ from .errors import EtaOutOfRange
 from .joint import JointSpec, max_symmetric_alpha, optimal_joint_povm, outcome_values
 from .povm import _probabilities
 from .qubit import _bloch_rows
-from .sampling import SeededStream, _block_sum, _tally
+from .sampling import SeededStream, _block_sum, _tally, _word_bound
 
 CLONER_ETA_MAX = 2.0 / 3.0
 _GAP_SCAN_POINTS = 181  # theta grid of min_cloning_gap, 1 degree apart
@@ -98,11 +98,11 @@ def bb84_eve(
     # success: the announced basis's slot equals the prepared bit
     wanted = values.T[[0, 0, 1, 1]] == np.array([[1], [-1], [1], [-1]])
 
-    def successes(basis_u, bits_u, outcome_u):
-        basis = basis_u < 0.5  # False: a-basis, True: a'-basis
-        bits = bits_u < 0.5  # False: +, True: -
+    def successes(basis_w, bits_w, outcome_w):
+        basis = basis_w < _word_bound(0.5)  # u < 0.5; False: a-basis, True: a'-basis
+        bits = bits_w < _word_bound(0.5)  # False: +, True: -
         return sum(
-            int(_tally(p, outcome_u[(basis == use_prime) & (bits == minus)])[w].sum())
+            int(_tally(p, outcome_w, (basis == use_prime) & (bits == minus))[w].sum())
             for (use_prime, minus), p, w in zip(cells, probs, wanted)
         )
 

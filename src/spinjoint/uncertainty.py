@@ -86,7 +86,8 @@ def _relations(m, spec: JointSpec | None = None, a=None, a_prime=None) -> dict:
     table["schroedinger"] = (bare, commutator + _squares(cos_t - ea * eap))
     if spec is not None:
         require_admissible(spec)
-        joint = _joint_variance(x, ea) * _joint_variance(y, eap) / (x * y)
+        with np.errstate(over="ignore"):  # a subnormal alpha^2 alpha'^2 gives an inf lhs
+            joint = _joint_variance(x, ea) * _joint_variance(y, eap) / (x * y)
         table["total_joint"] = (joint, _squares(sin_t * (1.0 + np.abs(perp))))
         table["arthurs_goodman"] = (joint, 4.0 * commutator)
     return table

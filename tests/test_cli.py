@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -307,3 +309,52 @@ def test_cloning_eta_out_of_range_exits_1(capsys):
     code, _, err = run(capsys, ["cloning", "--eta", "0.9"])
     assert code == 1
     assert "EtaOutOfRange" in err
+
+
+# sha256 of seeded Monte Carlo stdout, recorded while the block walk still
+# handed over doubles; --n is not a multiple of the 2^16-draw block, and
+# bb84's 4n trials are not either
+MONTE_CARLO_ARGV = {
+    "sample": ["sample", "--theta-deg", "70", "--alpha", "0.6", "--alpha-prime", "0.7",
+               "--bloch=0.2,0.1,-0.3", "--n", "70001", "--seed", "5"],
+    "sample-mixed": ["sample", "--n", "70001", "--seed", "5"],  # boundaries at 1/4, 1/2, 3/4
+    "signal": ["signal", "--theta-deg", "70", "--n", "70001", "--seed", "5"],
+    "chsh": ["chsh", "--theta-deg", "70", "--n", "70001", "--seed", "5"],
+    "bb84": ["bb84", "--n", "17501", "--seed", "5"],
+}
+MONTE_CARLO_SHA256 = {  # (command, format) -> digest
+    ("sample", "csv"): "368bc14d94b980e3be7f4f0b9d8727b3cb8541aa8eec50d0d52ded57e00013c4",
+    ("sample", "json"): "4acdbef12cc685a66b44f681e9d415231b4664ce13c4ca0e70d20721b8e89bc6",
+    ("sample-mixed", "csv"): "a9dd1e90ce9057487793db2b8bc934c650b65f99abcd83be4b376e11c8acfe5b",
+    ("sample-mixed", "json"): "241316c4de3799ed982b9404a7739dc9ca485e98fc92b5de2b21827faca06db3",
+    ("signal", "csv"): "7245e75e1c1ed81777797265e342f198ef6ecf1271ea0768de15c439ff238f65",
+    ("signal", "json"): "e182199977d8fe6c3ae35d21189419aeff381dfff6f4bc8a63b6259af8ddf771",
+    ("chsh", "csv"): "269158b3f7c26975a9c038c895af48f90ee99d3f9efb455253f3810fa7f10657",
+    ("chsh", "json"): "0f4e4b21f19ce71b2324b39babcd10a5e7fb6ee6bd097fd1432e616623c9e3fd",
+    ("bb84", "csv"): "edbf39e9e2f67f7ac9512068e3ec0d6ddeeead5e76f09ed6783773184095c1da",
+    ("bb84", "json"): "88da9278811eddc0600fece6c5861c52505e59799e36caccdd89b39be2921870",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MONTE_CARLO_SHA256), ids="-".join)
+def test_monte_carlo_stdout_is_byte_identical(case):
+    command, fmt = case
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main([*MONTE_CARLO_ARGV[command], "--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == MONTE_CARLO_SHA256[case]
+
+
+def test_tiny_sharpness_prints_no_overflow_warning(capsys):
+    # alpha^2 alpha'^2 = 1e-312 is subnormal, not 0: the joint relations'
+    # lhs is inf, with nothing on stderr
+    argv = ["uncertainty", "--alpha", "1e-78", "--alpha-prime", "1e-78", "--samples", "2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning would raise
+        code, out, err = run(capsys, argv)
+    assert code == 0
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c408cc930068ed779d2729a75fdaa5aae9d4ca7d9d97b8c9ec2619d937c54bd5"
+    )

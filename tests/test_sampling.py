@@ -62,9 +62,17 @@ def test_sample_indices_covers_edges():
     assert idx.tolist() == [0]
 
 
+def _doubles(words):
+    """The uniforms of raw Philox words, as ``Generator.random`` makes them."""
+    return (words >> 11) * 2.0**-53
+
+
 def test_tally_matches_sample_indices_oracle():
-    # binning the searchsorted indices is the independent reference; the
-    # draws include every inner boundary itself, 0 and values just below 1
+    # binning the searchsorted indices of the words' doubles is the
+    # independent reference; the words hit every inner boundary from both
+    # sides (with K = ceil(cum 2^53), K << 11 is the least word whose double
+    # is not below cum and (K << 11) - 1 the greatest one whose double is),
+    # plus 0, 2^64 - 1 and random words
     rng = np.random.default_rng(4242)
     for _ in range(300):
         k = int(rng.integers(2, 9))
@@ -74,13 +82,61 @@ def test_tally_matches_sample_indices_oracle():
         positive = kind == 2
         p[positive] = rng.dirichlet(np.ones(positive.sum())) * (1.0 - rng.uniform(0.0, ATOL))
         cum = np.cumsum(np.maximum(p, 0.0))[:-1]
-        u = np.concatenate(
-            [cum, cum, [0.0, 1.0 - ATOL, np.nextafter(1.0, 0.0)], rng.random(40)]
+        edges = [math.ceil(c * 2**53) << 11 for c in cum]
+        words = [w for e in edges for w in (e, e - 1) if 0 <= w < 1 << 64]
+        w = np.concatenate(
+            [np.array(words + [0, (1 << 64) - 1], dtype=np.uint64),
+             rng.integers(0, 1 << 64, size=40, dtype=np.uint64, endpoint=False)]
         )
-        rng.shuffle(u)
-        expected = np.bincount(sample_indices(p, u), minlength=k)
-        assert _tally(p, u).tolist() == expected.tolist()
-        assert _tally(p, u[:0]).tolist() == [0] * k
+        rng.shuffle(w)
+        expected = np.bincount(sample_indices(p, _doubles(w)), minlength=k)
+        assert _tally(p, w).tolist() == expected.tolist()
+        assert _tally(p, w[:0]).tolist() == [0] * k
+
+
+def test_tally_where_counts_only_the_masked_words():
+    rng = np.random.default_rng(4343)
+    w = rng.integers(0, 1 << 64, size=5000, dtype=np.uint64, endpoint=False)
+    for k in (2, 4, 8):
+        p = rng.dirichlet(np.ones(k))
+        for where in (rng.random(w.size) < 0.25, np.zeros(w.size, bool), np.ones(w.size, bool)):
+            assert _tally(p, w, where).tolist() == _tally(p, w[where]).tolist()
+        assert _tally(p, w, np.zeros(w.size, bool)).tolist() == [0] * k
+
+
+TINY = 2.0**-1074  # the least subnormal
+
+
+@pytest.mark.parametrize(
+    "c",
+    [-math.inf, -1.0, -TINY, 0.0, TINY, 3 * TINY, 2.0**-1022, 2.0**-53, 3 * 2.0**-53,
+     0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 0.1, 0.25 + 2.0**-53,
+     1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52, 2.0, 1e308, math.inf, math.nan],
+)
+def test_word_threshold_matches_the_doubles(c):
+    # words at 0, around 1/2, at the top of the range and on both sides of
+    # c's own threshold; the word count below the threshold is the doubles' count
+    near = [0, 1, 1 << 11, (1 << 63) - 1, 1 << 63, (1 << 64) - 1]
+    if 0.0 < c < 1.0:
+        k = math.ceil(c * 2**53)
+        near += [m << 11 | low for m in (k - 1, k, k + 1) for low in (0, 1, 2047)]
+    w = np.array([x for x in near if 0 <= x < 1 << 64], dtype=np.uint64)
+    expected = np.count_nonzero(_doubles(w) < c)
+    assert np.count_nonzero(w < sampling._word_bound(c)) == expected
+    # through _tally, c as the one inner boundary (a negative c is clamped to 0)
+    assert _tally([c, 0.0], w)[0] == expected
+
+
+def test_tally_with_a_cumsum_past_one():
+    # 0.33 + 0.56 + 0.11 rounds to 1 + 2^-52: every draw is below that
+    # boundary, so the last outcome gets none, as with searchsorted
+    p = [0.33, 0.56, 0.11, 0.0]
+    assert np.cumsum(p)[2] == 1.0 + 2.0**-52
+    w = np.array([0, (1 << 64) - 1, 1 << 63, *range((1 << 64) - 4096, 1 << 64, 512)],
+                 dtype=np.uint64)
+    expected = np.bincount(sample_indices(p, _doubles(w)), minlength=4)
+    assert _tally(p, w).tolist() == expected.tolist()
+    assert _tally(p, w)[3] == 0
 
 
 @pytest.mark.parametrize("block, n", [(1, 13), (7, 100), (1000, 2503)])
@@ -117,7 +173,7 @@ def test_memory_does_not_grow_with_n():
     state = state_from_bloch((0.2, 0.1, -0.3))
     settings = optimal_settings(spec)
     stream = SeededStream(43)
-    runs = (  # (peak bound in blocks of doubles, run)
+    runs = (  # (peak bound in blocks of 64-bit words, run)
         (1.5, lambda trials: sample_povm(povm, state, trials, stream)),
         (1.5, lambda trials: sample_two_party(povm, settings.b, trials, stream)),
         (1.5, lambda trials: signalling_experiment(spec, settings, trials, stream)),
@@ -141,34 +197,37 @@ def test_memory_does_not_grow_with_n():
 
 
 def test_block_per_range_stays_cache_sized():
-    # one block of doubles per range is in memory at a time; bb84_eve walks three
+    # one block of 64-bit words per range is in memory at a time; bb84_eve walks three
     assert 8 * sampling._BLOCK <= 1 << 20
 
 
-@pytest.mark.parametrize("block", [1, 7, 1000])
+@pytest.mark.parametrize("block", [1, 7, 1000, 1 << 16])
 @pytest.mark.parametrize("stream_id", [0, 5])
 @pytest.mark.parametrize(
     "offsets", [(0,), (1,), (2,), (3,), (4,), (5,), (1, 2506, 5011), (0, 2503, 5006)]
 )
 def test_block_walk_reproduces_one_draw(monkeypatch, block, stream_id, offsets):
     # oracle: one fresh generator per range drawing o + n doubles, no advance;
-    # the offsets cover every position within a Philox counter, alone and as
-    # three ranges walked together with blocks that end off the counter grid
+    # the walk's raw words map to those doubles bit for bit; the offsets
+    # cover every position within a Philox counter, alone and as three
+    # ranges walked together with blocks that end off the counter grid
     seed, n = 2024, 2503
     monkeypatch.setattr(sampling, "_BLOCK", block)
     seen = [[] for _ in offsets]
 
     def count(*blocks):
         assert len(blocks) == len(offsets)
-        for kept, u in zip(seen, blocks):
-            kept.append(u.copy())
+        for kept, w in zip(seen, blocks):
+            assert w.dtype == np.uint64
+            kept.append(w.copy())
         return 0
 
     sampling._block_sum(count, SeededStream(seed, stream_id), offsets, n)
     key = np.random.SeedSequence(entropy=seed, spawn_key=(stream_id,))
     for o, kept in zip(offsets, seen):
         expected = np.random.Generator(np.random.Philox(key)).random(o + n)[o:]
-        assert np.array_equal(np.concatenate(kept), expected), o
+        words = np.concatenate(kept)
+        assert np.array_equal(_doubles(words), expected), o
 
 
 def test_negative_offsets_and_counts_are_refused():

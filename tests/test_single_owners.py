@@ -3,8 +3,9 @@ keyed and positioned only in ``SeededStream._generator``, which only
 ``SeededStream.uniforms`` and the one walk over stream draws
 ``sampling._block_sum`` call, ``uniforms`` is called in the package only
 by ``cli.cmd_uncertainty`` (which reads its draws in one piece), only the
-walk reads the block size ``_BLOCK``,
-draws become counts only in ``sampling._tally``
+walk reads the block size ``_BLOCK`` and draws raw words (``random_raw``),
+draws become counts only in ``sampling._tally``, so ``scenarios.bb84_eve``
+counts its basis/bit cells through ``_tally``'s mask rather than by itself
 (``sample_indices`` keeps the public index lookup), the generator's name
 is spelled only in ``sampling.py``, "+"/"-" labels are read only by
 ``joint.outcome_values``, ``chsh --n`` and ``signal`` share one
@@ -42,6 +43,7 @@ SRC = Path(spinjoint.__file__).parent
 OWNERS = {
     "bincount": ("sampling.py", "_tally"),
     "count_nonzero": ("sampling.py", "_tally"),
+    "random_raw": ("sampling.py", "_block_sum"),
     "searchsorted": ("sampling.py", "sample_indices"),
     "Philox": ("sampling.py", "SeededStream._generator"),
     "SeedSequence": ("sampling.py", "SeededStream._generator"),
