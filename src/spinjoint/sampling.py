@@ -1,15 +1,14 @@
 """Monte Carlo outcome sampling.
 
 Draws come from a counter-addressable Philox stream keyed by
-(seed, stream_id): the i-th uniform of a stream is a pure function of
+(seed, stream_id): raw 64-bit word i of a stream is a pure function of
 (seed, stream_id, i).  Trial ranges can therefore be evaluated in chunks
 or fanned out across workers and the merged tallies are identical to a
-serial run, for any partition.  Every count walks its draws through
-``_block_sum``, which keeps one generator per range and hands over blocks
-of at most ``_BLOCK`` raw 64-bit Philox words (512 KiB, sized for the L2
-cache), so memory does not grow with n.  Word w is the uniform
-u = (w >> 11)·2⁻⁵³ of ``uniforms``; ``_tally`` compares the words with
-exact integer thresholds.  One- and two-party samples are both ``SampleStats``.
+serial run, for any partition.  ``uniforms`` is the doubles u = (w >> 11)·2⁻⁵³
+of the words w.  Every count walks its words through ``_block_sum`` in blocks
+of at most ``_BLOCK`` (512 KiB, sized for the L2 cache), so memory does not grow
+with n, and builds its word thresholds once (``_word_bounds``), against which
+``_tally`` counts each block.  One- and two-party samples are both ``SampleStats``.
 """
 
 from __future__ import annotations
@@ -37,25 +36,25 @@ class SeededStream:
     stream_id: int = 0
 
     def uniforms(self, offset: int, count: int) -> np.ndarray:
-        """Doubles [offset, offset + count) of this stream.
+        """Doubles [offset, offset + count) of this stream: u = (w >> 11)·2⁻⁵³
+        of each raw word w, bit for bit what numpy's ``Generator.random`` gives.
 
         Stable under chunking: concatenating adjacent blocks reproduces a
         single larger block exactly.
         """
         if count < 0:
             raise ValueError("offset and count must be nonnegative")
-        return self._generator(offset).random(count)
+        return (self._reader(offset)(count) >> 11) * 2.0**-53
 
-    def _generator(self, offset: int) -> np.random.Generator:
-        """A generator whose next double or raw word is draw ``offset`` of this stream."""
+    def _reader(self, offset: int):
+        """``random_raw`` of a Philox generator whose next word is word ``offset``."""
         if offset < 0:
             raise ValueError("offset and count must be nonnegative")
         key = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         bit_gen = np.random.Philox(key)
         bit_gen.advance(offset // _WORDS_PER_COUNTER)
-        gen = np.random.Generator(bit_gen)
-        gen.random(offset % _WORDS_PER_COUNTER)  # the draws before offset in its counter
-        return gen
+        bit_gen.random_raw(offset % _WORDS_PER_COUNTER)  # the words before offset in its counter
+        return bit_gen.random_raw
 
     def metadata(self, n: int) -> dict:
         return {
@@ -88,29 +87,30 @@ def sample_indices(probabilities, uniforms) -> np.ndarray:
     return np.searchsorted(np.cumsum(p)[:-1], np.asarray(uniforms), side="right")
 
 
-def _word_bound(c) -> int:
-    """Threshold on raw words for the boundary c: u = (w >> 11)·2⁻⁵³ < c exactly
-    when w < ceil(c·2⁵³) << 11.  Every word is below 2⁶⁴ (c >= 1; numpy compares
-    uint64 words with that Python int exactly) and none below 0 (c <= 0 or nan)."""
-    if not 0.0 < c < 1.0:
-        return 1 << 64 if c >= 1.0 else 0
-    return math.ceil(c * 2**53) << 11
+def _word_bounds(probabilities) -> list:
+    """Word thresholds of an outcome table: the package's one float-to-word
+    encoding.  The inner boundaries c of the cumulative sum of the probabilities,
+    each clamped at 0 (nan counts as 0), are capped at 1; u = (w >> 11)·2⁻⁵³ < c
+    exactly when w < ceil(c·2⁵³) << 11: 0 at c = 0, and 2⁶⁴, above every word,
+    at c = 1 (numpy compares uint64 words with that Python int exactly)."""
+    cum = np.cumsum(np.fmax(np.asarray(probabilities, dtype=float), 0.0))[:-1]
+    return [math.ceil(c * 2**53) << 11 for c in np.minimum(cum, 1.0).tolist()]
 
 
-def _tally(probabilities, words, where=None) -> np.ndarray:
+def _tally(bounds, words, where=None) -> np.ndarray:
     """Outcome counts of the raw stream words ``words``, or of those where
-    the mask ``where`` is true: the package's one draw-and-count step.
+    the mask ``where`` is true, against the thresholds ``bounds`` of
+    ``_word_bounds``: the package's one count step.
 
-    ``below[k]`` words fall under the threshold ``_word_bound(cum[k])``, so
-    outcome k gets ``below[k] - below[k - 1]``: the same counts as binning
+    ``below[k]`` words fall under ``bounds[k]``, so outcome k gets
+    ``below[k] - below[k - 1]``: the same counts as binning
     ``sample_indices`` of the words' doubles, without making the doubles,
     sorting or indexing every draw.
     """
-    cum = np.cumsum(np.maximum(np.asarray(probabilities, dtype=float), 0.0))[:-1].tolist()
     if where is None:
-        below = [np.count_nonzero(words < _word_bound(c)) for c in cum]
+        below = [np.count_nonzero(words < b) for b in bounds]
         return np.diff([0, *below, len(words)])
-    below = [np.count_nonzero((words < _word_bound(c)) & where) for c in cum]
+    below = [np.count_nonzero((words < b) & where) for b in bounds]
     return np.diff([0, *below, np.count_nonzero(where)])
 
 
@@ -118,23 +118,24 @@ def _block_sum(count, stream: SeededStream, offsets, n: int):
     """Sum of ``count`` over the aligned blocks of the draw ranges [o, o + n)
     of ``stream``, one block of at most ``_BLOCK`` raw Philox words per
     offset: the package's one walk over stream draws.  Each range keeps one
-    generator.  No block outlives its ``count`` call: blocks go straight
+    reader.  No block outlives its ``count`` call: blocks go straight
     into its arguments, never into a loop variable while the next ones are
     drawn, so memory holds one block per range."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    bit_gens = [stream._generator(o).bit_generator for o in offsets]
+    reads = [stream._reader(o) for o in offsets]
     return sum(
-        count(*(bit_gen.random_raw(min(_BLOCK, n - start)) for bit_gen in bit_gens))
+        count(*(read(min(_BLOCK, n - start)) for read in reads))
         for start in range(0, n, _BLOCK)
     )
 
 
 def _counts(probabilities, stream: SeededStream, offset: int, n: int) -> np.ndarray:
     """Counts of the n draws [offset, offset + n) of ``stream`` over an
-    outcome table of any shape, summed over blocks."""
+    outcome table of any shape, read in row-major order, summed over blocks."""
     p = np.asarray(probabilities, dtype=float)
-    return _block_sum(lambda u: _tally(p.reshape(-1), u), stream, (offset,), n).reshape(p.shape)
+    bounds = _word_bounds(p)
+    return _block_sum(lambda w: _tally(bounds, w), stream, (offset,), n).reshape(p.shape)
 
 
 def _stats_from_values(labels, tallies, values) -> SampleStats:

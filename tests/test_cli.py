@@ -346,6 +346,53 @@ def test_monte_carlo_stdout_is_byte_identical(case):
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == MONTE_CARLO_SHA256[case]
 
 
+# the CLI's golden manifest: name -> (argv, exit code, sha256 of stdout,
+# whether stderr is empty); stderr itself is not hashed, and for the clamp
+# case, whose RuntimeWarning names a file and line, it is not pinned (None)
+CLI_MANIFEST = {
+    "validate-json": (["validate", "--format", "json"], 0,
+                      "425fdbef36bf70ad17e9480ff5e3f10ba3c627f5aaa90fbfc93d64aa82d5958b", True),
+    "validate-csv": (["validate", "--format", "csv"], 0,
+                     "d261f8d03b0b0fbf737f152b3f29f974c6e80e6c0ae751e50fef7871b6ebf79b", True),
+    "validate-inadmissible": (["validate", "--alpha", "1", "--alpha-prime", "1"], 1,
+                              "7d8588c43dbe04e8e8cd812f39ff276269e9ac6e51d8b889f70aa05f2260cf12",
+                              True),
+    "scan-theta-csv": (["scan-theta", "--points", "7", "--format", "csv"], 0,
+                       "56568489830439ebbf1d4f261b1bddcf81bdda95b8d1afe93472e5162ac87dec", True),
+    "scan-theta-json": (["scan-theta", "--points", "7", "--format", "json"], 0,
+                        "a48beef8cd79bc8aaee03170555c9f17fadebc3c137039b9dfba4c5458d1efc6", True),
+    "chsh-90": (["chsh", "--theta-deg", "90"], 0,
+                "dad8ca8c4857a9b4b4e24565beda87a5d870278b536c444fe75675aa3f4bd5c8", True),
+    "chsh-180": (["chsh", "--theta-deg", "180"], 1,
+                 "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", False),
+    "cloning": (["cloning"], 0,
+                "f15af4421b29c75551db50a92b67e07950b684f922bd9cfa73c3ccf0fb5c0322", True),
+    "uncertainty-json": (["uncertainty", "--format", "json"], 0,
+                         "eb907be80c7622e7aa05568bd87a63e632c8627b05d03ea27458502f296cc129", True),
+    "sample-clamped": (["sample", "--theta-deg", "180", "--bloch", "1,0,0", "--n", "10",
+                        "--seed", "1"], 0,
+                       "24a76d24cbf10dfcd3afc69388055892a1639b10a8a1ca4e592577aa42998279", None),
+    "usage-error": (["bb84", "--n", "0", "--seed", "1"], 2,
+                    "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_MANIFEST))
+def test_cli_manifest(capsys, name):
+    argv, exit_code, digest, stderr_empty = CLI_MANIFEST[name]
+    warns = pytest.warns(RuntimeWarning) if stderr_empty is None else contextlib.nullcontext()
+    with warns:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out = capsys.readouterr()
+    assert code == exit_code
+    assert hashlib.sha256(out.out.encode()).hexdigest() == digest
+    if stderr_empty is not None:
+        assert (out.err == "") is stderr_empty
+
+
 def test_tiny_sharpness_prints_no_overflow_warning(capsys):
     # alpha^2 alpha'^2 = 1e-312 is subnormal, not 0: the joint relations'
     # lhs is inf, with nothing on stderr

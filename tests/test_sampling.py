@@ -25,7 +25,8 @@ from spinjoint import (
     state_from_bloch,
 )
 from spinjoint import sampling
-from spinjoint.sampling import _tally
+from spinjoint import scenarios
+from spinjoint.sampling import _tally, _word_bounds
 
 X = np.array([1.0, 0.0, 0.0])
 Z = np.array([0.0, 0.0, 1.0])
@@ -67,6 +68,19 @@ def _doubles(words):
     return (words >> 11) * 2.0**-53
 
 
+@pytest.mark.parametrize("offset", range(10))
+def test_uniforms_are_numpys_doubles(offset):
+    # numpy's own double of each Philox word is the reference: the offsets
+    # cover every position within a counter, twice
+    seed, stream_id = 20240811, 3
+    key = np.random.SeedSequence(seed, spawn_key=(stream_id,))
+    for count in (0, 1, 7, 1000):
+        expected = np.random.Generator(np.random.Philox(key)).random(offset + count)[offset:]
+        got = SeededStream(seed, stream_id).uniforms(offset, count)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, expected), count
+
+
 def test_tally_matches_sample_indices_oracle():
     # binning the searchsorted indices of the words' doubles is the
     # independent reference; the words hit every inner boundary from both
@@ -90,18 +104,18 @@ def test_tally_matches_sample_indices_oracle():
         )
         rng.shuffle(w)
         expected = np.bincount(sample_indices(p, _doubles(w)), minlength=k)
-        assert _tally(p, w).tolist() == expected.tolist()
-        assert _tally(p, w[:0]).tolist() == [0] * k
+        assert _tally(_word_bounds(p), w).tolist() == expected.tolist()
+        assert _tally(_word_bounds(p), w[:0]).tolist() == [0] * k
 
 
 def test_tally_where_counts_only_the_masked_words():
     rng = np.random.default_rng(4343)
     w = rng.integers(0, 1 << 64, size=5000, dtype=np.uint64, endpoint=False)
     for k in (2, 4, 8):
-        p = rng.dirichlet(np.ones(k))
+        bounds = _word_bounds(rng.dirichlet(np.ones(k)))
         for where in (rng.random(w.size) < 0.25, np.zeros(w.size, bool), np.ones(w.size, bool)):
-            assert _tally(p, w, where).tolist() == _tally(p, w[where]).tolist()
-        assert _tally(p, w, np.zeros(w.size, bool)).tolist() == [0] * k
+            assert _tally(bounds, w, where).tolist() == _tally(bounds, w[where]).tolist()
+        assert _tally(bounds, w, np.zeros(w.size, bool)).tolist() == [0] * k
 
 
 TINY = 2.0**-1074  # the least subnormal
@@ -122,9 +136,10 @@ def test_word_threshold_matches_the_doubles(c):
         near += [m << 11 | low for m in (k - 1, k, k + 1) for low in (0, 1, 2047)]
     w = np.array([x for x in near if 0 <= x < 1 << 64], dtype=np.uint64)
     expected = np.count_nonzero(_doubles(w) < c)
-    assert np.count_nonzero(w < sampling._word_bound(c)) == expected
-    # through _tally, c as the one inner boundary (a negative c is clamped to 0)
-    assert _tally([c, 0.0], w)[0] == expected
+    # c as the one inner boundary (a negative c is clamped to 0)
+    (bound,) = _word_bounds([c, 0.0])
+    assert np.count_nonzero(w < bound) == expected
+    assert _tally([bound], w)[0] == expected
 
 
 def test_tally_with_a_cumsum_past_one():
@@ -135,8 +150,8 @@ def test_tally_with_a_cumsum_past_one():
     w = np.array([0, (1 << 64) - 1, 1 << 63, *range((1 << 64) - 4096, 1 << 64, 512)],
                  dtype=np.uint64)
     expected = np.bincount(sample_indices(p, _doubles(w)), minlength=4)
-    assert _tally(p, w).tolist() == expected.tolist()
-    assert _tally(p, w)[3] == 0
+    assert _tally(_word_bounds(p), w).tolist() == expected.tolist()
+    assert _tally(_word_bounds(p), w)[3] == 0
 
 
 @pytest.mark.parametrize("block, n", [(1, 13), (7, 100), (1000, 2503)])
@@ -161,6 +176,27 @@ def test_tallies_do_not_depend_on_block_size(monkeypatch, block, n):
     whole = run()
     monkeypatch.setattr(sampling, "_BLOCK", block)
     assert run() == whole
+
+
+@pytest.mark.parametrize("n", [1, 7, 100])
+def test_word_bounds_are_built_once_per_count(monkeypatch, n):
+    # 1, 1 and 15 blocks of 7 words (bb84_eve: 1, 4 and 58 per range); the
+    # thresholds are built before the walk, never per block
+    monkeypatch.setattr(sampling, "_BLOCK", 7)
+    built = []
+
+    def counted(probabilities):
+        built.append(len(probabilities))
+        return _word_bounds(probabilities)
+
+    monkeypatch.setattr(sampling, "_word_bounds", counted)
+    monkeypatch.setattr(scenarios, "_word_bounds", counted)
+    sample_povm(general_joint_povm(JointSpec(X, Z, 0.4, 0.6)), state_from_bloch(X), n,
+                SeededStream(3))
+    assert built == [4]
+    built.clear()
+    bb84_eve(n, SeededStream(3))
+    assert built == [4, 4, 4, 4, 2]  # four cell tables and the fair coin
 
 
 def test_memory_does_not_grow_with_n():
@@ -207,8 +243,8 @@ def test_block_per_range_stays_cache_sized():
     "offsets", [(0,), (1,), (2,), (3,), (4,), (5,), (1, 2506, 5011), (0, 2503, 5006)]
 )
 def test_block_walk_reproduces_one_draw(monkeypatch, block, stream_id, offsets):
-    # oracle: one fresh generator per range drawing o + n doubles, no advance;
-    # the walk's raw words map to those doubles bit for bit; the offsets
+    # oracle: one fresh Philox per range drawing o + n raw words, no advance,
+    # and the walk's words are those words bit for bit; the offsets
     # cover every position within a Philox counter, alone and as three
     # ranges walked together with blocks that end off the counter grid
     seed, n = 2024, 2503
@@ -225,9 +261,8 @@ def test_block_walk_reproduces_one_draw(monkeypatch, block, stream_id, offsets):
     sampling._block_sum(count, SeededStream(seed, stream_id), offsets, n)
     key = np.random.SeedSequence(entropy=seed, spawn_key=(stream_id,))
     for o, kept in zip(offsets, seen):
-        expected = np.random.Generator(np.random.Philox(key)).random(o + n)[o:]
-        words = np.concatenate(kept)
-        assert np.array_equal(_doubles(words), expected), o
+        expected = np.random.Philox(key).random_raw(o + n)[o:]
+        assert np.array_equal(np.concatenate(kept), expected), o
 
 
 def test_negative_offsets_and_counts_are_refused():

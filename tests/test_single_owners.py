@@ -1,16 +1,20 @@
-"""Each decision has one owner in spinjoint: the Philox generator is
-keyed and positioned only in ``SeededStream._generator``, which only
-``SeededStream.uniforms`` and the one walk over stream draws
-``sampling._block_sum`` call, ``uniforms`` is called in the package only
-by ``cli.cmd_uncertainty`` (which reads its draws in one piece), only the
-walk reads the block size ``_BLOCK`` and draws raw words (``random_raw``),
-draws become counts only in ``sampling._tally``, so ``scenarios.bb84_eve``
-counts its basis/bit cells through ``_tally``'s mask rather than by itself
-(``sample_indices`` keeps the public index lookup), the generator's name
-is spelled only in ``sampling.py``, "+"/"-" labels are read only by
-``joint.outcome_values``, ``chsh --n`` and ``signal`` share one
-two-analyzer run, and the measurement-plane normal a x a' is computed
-only in the uncertainty kernel ``uncertainty._relations``.
+"""Each decision has one owner in spinjoint: the Philox stream is keyed,
+positioned and read (``random_raw``) only in ``SeededStream._reader``,
+which only ``SeededStream.uniforms`` and the one walk over stream draws
+``sampling._block_sum`` call, so no numpy ``Generator`` is made anywhere,
+``uniforms`` is called in the package only by ``cli.cmd_uncertainty``
+(which reads its draws in one piece), only the walk reads the block size
+``_BLOCK``, probabilities become word thresholds only in
+``sampling._word_bounds``, called once per count by ``sampling._counts``
+and ``scenarios.bb84_eve`` (never per block, so not inside its
+``successes``), words become counts only in ``sampling._tally``, so
+``scenarios.bb84_eve`` counts its basis/bit cells through ``_tally``'s
+mask rather than by itself (``sample_indices`` keeps the public index
+lookup), the generator's name is spelled only in ``sampling.py``,
+"+"/"-" labels are read only by ``joint.outcome_values``, ``chsh --n``
+and ``signal`` share one two-analyzer run, and the measurement-plane
+normal a x a' is computed only in the uncertainty kernel
+``uncertainty._relations``.
 POVMs are row arrays: package code builds each one from its (k, 4) Pauli
 rows in ``Povm._from_coordinates``, and the checked constructors
 ``Effect(label, op)`` and ``Povm(effects)`` serve only matrices read by
@@ -43,10 +47,10 @@ SRC = Path(spinjoint.__file__).parent
 OWNERS = {
     "bincount": ("sampling.py", "_tally"),
     "count_nonzero": ("sampling.py", "_tally"),
-    "random_raw": ("sampling.py", "_block_sum"),
+    "random_raw": ("sampling.py", "SeededStream._reader"),
     "searchsorted": ("sampling.py", "sample_indices"),
-    "Philox": ("sampling.py", "SeededStream._generator"),
-    "SeedSequence": ("sampling.py", "SeededStream._generator"),
+    "Philox": ("sampling.py", "SeededStream._reader"),
+    "SeedSequence": ("sampling.py", "SeededStream._reader"),
     "cross": ("uncertainty.py", "_relations"),
 }
 LABEL_DECODER = ("joint.py", "outcome_values")
@@ -58,7 +62,8 @@ EIGENVALUE_CALLERS = {("povm.py", "Povm._report"), ("qubit.py", "QubitState.__po
 SINGLET = ("correlations.py", "singlet")
 PROBABILITY_CALLERS = {("povm.py", "outcome_probabilities"), ("scenarios.py", "bb84_eve")}
 DRAW_WALK = ("sampling.py", "_block_sum")
-GENERATOR_CALLERS = {("sampling.py", "SeededStream.uniforms"), DRAW_WALK}
+READER_CALLERS = {("sampling.py", "SeededStream.uniforms"), DRAW_WALK}
+WORD_BOUNDS_CALLERS = {("sampling.py", "_counts"), ("scenarios.py", "bb84_eve")}
 UNIFORMS_CALLERS = {("cli.py", "cmd_uncertainty")}
 
 
@@ -106,7 +111,7 @@ def test_one_draw_and_count_site():
 
 
 def test_one_walk_over_stream_draws():
-    assert set(_calls("_generator")) == GENERATOR_CALLERS
+    assert set(_calls("_reader")) == READER_CALLERS
     assert set(_calls("uniforms")) == UNIFORMS_CALLERS
     block_reads = {
         (path, func)
@@ -114,6 +119,19 @@ def test_one_walk_over_stream_draws():
         if _name(node) == "_BLOCK" and isinstance(getattr(node, "ctx", None), ast.Load)
     }
     assert block_reads == {DRAW_WALK}
+
+
+def test_word_thresholds_are_built_once_per_count():
+    # exact scopes: a use inside bb84_eve's per-block ``successes``, called
+    # or handed on (say to ``map``), would be ("scenarios.py", "bb84_eve.successes")
+    uses = {(path, func) for path, func, node in _nodes()
+            if isinstance(node, ast.Name) and node.id == "_word_bounds"}
+    assert uses == WORD_BOUNDS_CALLERS
+
+
+def test_no_numpy_generator():
+    found = [f"{path}:{func}" for path, func, node in _nodes() if _name(node) == "Generator"]
+    assert found == []
 
 
 def test_generator_name_has_one_owner():
