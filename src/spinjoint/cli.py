@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -112,7 +113,9 @@ def _int_at_least(low: int):
 
 
 def _add_spec_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--a", type=_direction, default=np.array([0.0, 0.0, 1.0]),
+    # vector defaults are strings: argparse runs them through type= on each
+    # parse, so calls sharing the cached parser never share an array
+    sub.add_argument("--a", type=_direction, default="0,0,1",
                      help="first direction, comma-separated floats (normalized)")
     sub.add_argument("--a-prime", type=_direction, default=None,
                      help="second direction (alternative to --theta-deg)")
@@ -375,6 +378,7 @@ def cmd_cloning(parser, args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinjoint",
@@ -402,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("sample", help="draw outcomes of the joint measurement")
     _add_spec_flags(p)
-    p.add_argument("--bloch", type=_vector, default=np.zeros(3),
+    p.add_argument("--bloch", type=_vector, default="0,0,0",
                    help="Bloch vector of the measured state (default mixed)")
     p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=_int_at_least(0), required=True)

@@ -51,6 +51,13 @@ class UncertaintyReport:
     slack: float
 
 
+def _plane_normal(a, a_prime) -> np.ndarray:
+    """a x a' of two 3-vectors, written out: the same products and differences
+    as np.cross, in the same order, so the same bits, without its axis handling."""
+    (a1, a2, a3), (b1, b2, b3) = a.tolist(), a_prime.tolist()
+    return np.array([a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1])
+
+
 def _relations(m, spec: JointSpec | None = None, a=None, a_prime=None) -> dict:
     """{relation_id: (lhs, rhs)}, one entry per Bloch row of ``m``.
 
@@ -74,7 +81,7 @@ def _relations(m, spec: JointSpec | None = None, a=None, a_prime=None) -> dict:
         table["cirelson_product"] = (np.full(n, (2.0 - x) * (2.0 - y) / (x * y)), sin_sq)
     if m is None:
         return table
-    normal = np.cross(a, a_prime)
+    normal = _plane_normal(a, a_prime)
     sin_t = float(_length(normal))
     if sin_t < ATOL:
         raise CollinearDirections("a and a_prime are (anti)parallel")

@@ -1,4 +1,4 @@
-import contextlib
+import argparse
 import csv
 import hashlib
 import io
@@ -6,8 +6,10 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
+from golden import CLI_MANIFEST, check_entry
 from spinjoint import cli
 from spinjoint.cli import main
 
@@ -311,86 +313,50 @@ def test_cloning_eta_out_of_range_exits_1(capsys):
     assert "EtaOutOfRange" in err
 
 
-# sha256 of seeded Monte Carlo stdout, recorded while the block walk still
-# handed over doubles; --n is not a multiple of the 2^16-draw block, and
-# bb84's 4n trials are not either
-MONTE_CARLO_ARGV = {
-    "sample": ["sample", "--theta-deg", "70", "--alpha", "0.6", "--alpha-prime", "0.7",
-               "--bloch=0.2,0.1,-0.3", "--n", "70001", "--seed", "5"],
-    "sample-mixed": ["sample", "--n", "70001", "--seed", "5"],  # boundaries at 1/4, 1/2, 3/4
-    "signal": ["signal", "--theta-deg", "70", "--n", "70001", "--seed", "5"],
-    "chsh": ["chsh", "--theta-deg", "70", "--n", "70001", "--seed", "5"],
-    "bb84": ["bb84", "--n", "17501", "--seed", "5"],
-}
-MONTE_CARLO_SHA256 = {  # (command, format) -> digest
-    ("sample", "csv"): "368bc14d94b980e3be7f4f0b9d8727b3cb8541aa8eec50d0d52ded57e00013c4",
-    ("sample", "json"): "4acdbef12cc685a66b44f681e9d415231b4664ce13c4ca0e70d20721b8e89bc6",
-    ("sample-mixed", "csv"): "a9dd1e90ce9057487793db2b8bc934c650b65f99abcd83be4b376e11c8acfe5b",
-    ("sample-mixed", "json"): "241316c4de3799ed982b9404a7739dc9ca485e98fc92b5de2b21827faca06db3",
-    ("signal", "csv"): "7245e75e1c1ed81777797265e342f198ef6ecf1271ea0768de15c439ff238f65",
-    ("signal", "json"): "e182199977d8fe6c3ae35d21189419aeff381dfff6f4bc8a63b6259af8ddf771",
-    ("chsh", "csv"): "269158b3f7c26975a9c038c895af48f90ee99d3f9efb455253f3810fa7f10657",
-    ("chsh", "json"): "0f4e4b21f19ce71b2324b39babcd10a5e7fb6ee6bd097fd1432e616623c9e3fd",
-    ("bb84", "csv"): "edbf39e9e2f67f7ac9512068e3ec0d6ddeeead5e76f09ed6783773184095c1da",
-    ("bb84", "json"): "88da9278811eddc0600fece6c5861c52505e59799e36caccdd89b39be2921870",
-}
+# the manifest's Monte Carlo ("mc-") and uncertainty csv ("uncertainty-csv-",
+# in test_uncertainty.py) entries keep their own tests
+@pytest.mark.parametrize(
+    "name",
+    [name for name in sorted(CLI_MANIFEST) if not name.startswith(("mc-", "uncertainty-csv-"))],
+)
+def test_cli_manifest(name):
+    check_entry(name)
 
 
-@pytest.mark.parametrize("case", sorted(MONTE_CARLO_SHA256), ids="-".join)
-def test_monte_carlo_stdout_is_byte_identical(case):
-    command, fmt = case
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = main([*MONTE_CARLO_ARGV[command], "--format", fmt])
-    assert code == 0
-    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == MONTE_CARLO_SHA256[case]
+@pytest.mark.parametrize(
+    "name",
+    [name for name in sorted(CLI_MANIFEST) if name.startswith("mc-")],
+    ids=lambda name: name.removeprefix("mc-"),
+)
+def test_monte_carlo_stdout_is_byte_identical(name):
+    check_entry(name)
 
 
-# the CLI's golden manifest: name -> (argv, exit code, sha256 of stdout,
-# whether stderr is empty); stderr itself is not hashed, and for the clamp
-# case, whose RuntimeWarning names a file and line, it is not pinned (None)
-CLI_MANIFEST = {
-    "validate-json": (["validate", "--format", "json"], 0,
-                      "425fdbef36bf70ad17e9480ff5e3f10ba3c627f5aaa90fbfc93d64aa82d5958b", True),
-    "validate-csv": (["validate", "--format", "csv"], 0,
-                     "d261f8d03b0b0fbf737f152b3f29f974c6e80e6c0ae751e50fef7871b6ebf79b", True),
-    "validate-inadmissible": (["validate", "--alpha", "1", "--alpha-prime", "1"], 1,
-                              "7d8588c43dbe04e8e8cd812f39ff276269e9ac6e51d8b889f70aa05f2260cf12",
-                              True),
-    "scan-theta-csv": (["scan-theta", "--points", "7", "--format", "csv"], 0,
-                       "56568489830439ebbf1d4f261b1bddcf81bdda95b8d1afe93472e5162ac87dec", True),
-    "scan-theta-json": (["scan-theta", "--points", "7", "--format", "json"], 0,
-                        "a48beef8cd79bc8aaee03170555c9f17fadebc3c137039b9dfba4c5458d1efc6", True),
-    "chsh-90": (["chsh", "--theta-deg", "90"], 0,
-                "dad8ca8c4857a9b4b4e24565beda87a5d870278b536c444fe75675aa3f4bd5c8", True),
-    "chsh-180": (["chsh", "--theta-deg", "180"], 1,
-                 "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", False),
-    "cloning": (["cloning"], 0,
-                "f15af4421b29c75551db50a92b67e07950b684f922bd9cfa73c3ccf0fb5c0322", True),
-    "uncertainty-json": (["uncertainty", "--format", "json"], 0,
-                         "eb907be80c7622e7aa05568bd87a63e632c8627b05d03ea27458502f296cc129", True),
-    "sample-clamped": (["sample", "--theta-deg", "180", "--bloch", "1,0,0", "--n", "10",
-                        "--seed", "1"], 0,
-                       "24a76d24cbf10dfcd3afc69388055892a1639b10a8a1ca4e592577aa42998279", None),
-    "usage-error": (["bb84", "--n", "0", "--seed", "1"], 2,
-                    "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", False),
-}
+def test_in_process_calls_are_independent():
+    # one process, one parser: each call's output is the same in either order,
+    # and a usage error or --help in between leaves nothing behind
+    names = sorted(CLI_MANIFEST)
+    for name in names:
+        check_entry(name)
+    for argv, code in [(["sample", "--n", "0", "--seed", "1"], 2), (["sample", "--help"], 0)]:
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == code
+    for name in reversed(names):
+        check_entry(name)
 
 
-@pytest.mark.parametrize("name", sorted(CLI_MANIFEST))
-def test_cli_manifest(capsys, name):
-    argv, exit_code, digest, stderr_empty = CLI_MANIFEST[name]
-    warns = pytest.warns(RuntimeWarning) if stderr_empty is None else contextlib.nullcontext()
-    with warns:
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    out = capsys.readouterr()
-    assert code == exit_code
-    assert hashlib.sha256(out.out.encode()).hexdigest() == digest
-    if stderr_empty is not None:
-        assert (out.err == "") is stderr_empty
+def test_parser_is_built_once_and_holds_no_arrays():
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    parsers = [parser]
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            parsers += action.choices.values()
+    assert len(parsers) == 9
+    # a shared array default would reach every call, and JointSpec freezes it
+    defaults = [action.default for p in parsers for action in p._actions]
+    assert not any(isinstance(default, np.ndarray) for default in defaults)
 
 
 def test_tiny_sharpness_prints_no_overflow_warning(capsys):

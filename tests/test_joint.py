@@ -154,10 +154,8 @@ def _boundary_band(signs=(1.0,)):
                 yield theta_deg, eps, alpha, JointSpec.from_angle(theta, alpha, alpha)
 
 
-def test_admissibility_entry_points_agree_in_boundary_band(monkeypatch):
+def test_admissibility_entry_points_agree_in_boundary_band():
     # alpha above alpha_max straddles the boundary
-    parser = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)  # built once, not 2400 times
     settings = Settings(X, Z)
     disagreements = []
     for theta_deg, eps, alpha, spec in _boundary_band():

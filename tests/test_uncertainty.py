@@ -1,17 +1,17 @@
-import contextlib
-import hashlib
-import io
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from golden import CLI_MANIFEST, check_entry
 from helpers import (
     pauli_dot,
     random_admissible_spec,
     random_direction_pair,
     random_pure_state,
     random_state,
+    random_unit,
 )
 from spinjoint import (
     RELATION_IDS,
@@ -30,7 +30,7 @@ from spinjoint import (
     total_joint,
 )
 from spinjoint.cli import main
-from spinjoint.uncertainty import _relations
+from spinjoint.uncertainty import _plane_normal, _relations
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -293,44 +293,27 @@ def test_kernel_rows_equal_batches_of_one():
                 assert [lhs[k].hex(), rhs[k].hex()] == [report.lhs.hex(), report.rhs.hex()]
 
 
-UNCERTAINTY_FLAGS = {
-    "default": [],
-    "theta": ["--theta-deg", "37", "--alpha", "0.7", "--alpha-prime", "0.6"],
-    "vectors": ["--a", "0.3,0.2,1", "--a-prime", "1,-0.4,0.1"],
-}
-# sha256 of the uncertainty CSV on stdout, recorded before the relations
-# became one batch kernel; (flags, seed, samples) -> digest
-UNCERTAINTY_CSV_SHA256 = {
-    ("default", 0, 1): "05122a1649a59bf40fe88fe8729d1b22a3017b31c37fb55b4ebc8f95481a9989",
-    ("default", 0, 30): "29d000187453e9a40f39458b3207100aed89d1c4ef1f222023b89e3fab494932",
-    ("default", 0, 500): "e97f1fa63084cca80c92227cc57e176edd5522885f8064337d529e54e84b8a64",
-    ("default", 7, 1): "d2968b23f17cf542ecf4bb55eb1c16a9738fcf6bef9eb9d6c33bc6e00f4dae54",
-    ("default", 7, 30): "da58947e8cbeee2e449038c4a123c0bca8d7f06dd48f7a3a6ab24adce2b04941",
-    ("default", 7, 500): "bc48a78436c5cf28d3e0b87316236c6b2e9b41ff935b47dbd9449af789dd545e",
-    ("theta", 0, 1): "b8bce3083755104acf0e66ab672c4a204f539cfcc1f4c6b772c3b5e623669ea3",
-    ("theta", 0, 30): "47016641781fa32551e6b8e57007167b89e677263a1e28d1c64c0a66d5250b89",
-    ("theta", 0, 500): "c5acd347290c9b9d66200bff8bc415856c6d3c321858c1301999f29bb1184437",
-    ("theta", 7, 1): "4ec7c74287934cb33ce1afae4428517fa61ffb88a2f965e67cc5f6c6ab34e9dc",
-    ("theta", 7, 30): "2d1e3049b0c252448177cc1738c82fcfb39bb7c65fada50dc3684d141ddc9d22",
-    ("theta", 7, 500): "ac73446517283d21f2288126df23036fa1bf7ae3931193f8eeddb7ef605ff019",
-    ("vectors", 0, 1): "d2e06ed2e65b50515c94475260f4e7aed9cc00d96b0aedecf1a0c4a8f348490f",
-    ("vectors", 0, 30): "cfc8a03d4e3b99fbadaadb6f93549f6a229349f943879a2bcb0a9957616290cf",
-    ("vectors", 0, 500): "73cd5d3a22fabd163d406f6ceb51cac7c0e5221775330cfcfbbd68aefd05bd38",
-    # moves if the squares are taken with numpy instead of Python's power
-    ("vectors", 7, 1): "52b756309b2cdfe924a0e4c51efb14e1458fce899fa005276b0b2ea8c71889ea",
-    ("vectors", 7, 30): "818d0f068302ad3dad46b2e62d344883093aa31d13362ec588eb022cb71a2c34",
-    ("vectors", 7, 500): "b7e0ad87e49125c105175aead761f9a22599eb8b55733ab48678ca3ca8b8af66",
-}
+def test_plane_normal_is_np_cross_bit_for_bit():
+    rng = np.random.default_rng(2005)
+    pairs = []
+    for _ in range(1000):
+        a = random_unit(rng)
+        pairs.append((a, random_unit(rng)))
+        tilt = random_unit(rng) * 10.0 ** rng.uniform(-15, -6)
+        pairs.append((a, (a + tilt) / np.linalg.norm(a + tilt)))  # near-collinear
+        pairs.append((a, -a + tilt))  # near-antiparallel
+    signed = [0.0, -0.0, 1.0, -1.0]
+    for a in itertools.product(signed, repeat=3):
+        for b in itertools.product(signed, repeat=3):
+            pairs.append((np.array(a), np.array(b)))
+    for a, b in pairs:
+        assert _plane_normal(a, b).tobytes() == np.cross(a, b).tobytes()
 
 
 @pytest.mark.parametrize(
-    "case", sorted(UNCERTAINTY_CSV_SHA256), ids=lambda case: "-".join(map(str, case))
+    "name",
+    sorted(name for name in CLI_MANIFEST if name.startswith("uncertainty-csv-")),
+    ids=lambda name: name.removeprefix("uncertainty-csv-"),
 )
-def test_uncertainty_csv_is_byte_identical(case):
-    flags, seed, samples = case
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = main(["uncertainty", *UNCERTAINTY_FLAGS[flags],
-                     "--seed", str(seed), "--samples", str(samples)])
-    assert code == 0
-    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == UNCERTAINTY_CSV_SHA256[case]
+def test_uncertainty_csv_is_byte_identical(name):
+    check_entry(name)
