@@ -35,6 +35,8 @@ from .errors import SpinJointError, ZeroAlpha
 from .joint import (
     JointSpec,
     _check_sharpness,
+    _squares,
+    _theta_grid,
     bound_lhs,
     general_effect_min_eigenvalues,
     general_joint_povm,
@@ -52,7 +54,7 @@ from .sampling import (
     signalling_experiment,
 )
 from .scenarios import CLONER_ETA_MAX, bb84_eve, cloning_joint, min_cloning_gap
-from .uncertainty import RELATION_IDS, _relations, product_form
+from .uncertainty import RELATION_IDS, _product_forms, _relations, product_form
 
 
 def _vector(text: str) -> np.ndarray:
@@ -217,20 +219,19 @@ def cmd_validate(parser, args) -> int:
 
 
 def cmd_scan_theta(parser, args) -> int:
-    points = args.points
-    rows = []
-    for i in range(points):
-        theta = i * math.pi / (points - 1)
-        alpha = max_symmetric_alpha(theta)
-        spec = JointSpec.from_angle(theta, alpha, alpha)
-        rows.append(
-            {
-                "theta_deg": i * 180.0 / (points - 1),
-                "alpha_max": alpha,
-                "boundary_slack": product_form(spec).slack,
-                "cloning_gap": alpha - CLONER_ETA_MAX,
-            }
-        )
+    theta = _theta_grid(args.points)
+    alpha = max_symmetric_alpha(theta)
+    x = _squares(alpha)
+    # JointSpec.from_angle with its default a = z puts a' at (sin theta, 0, cos theta),
+    # so a.a' is cos(theta) bit for bit: one kernel call, no spec per angle
+    lhs, rhs = _product_forms(x, x, np.cos(theta))["product_form"]
+    columns = {
+        "theta_deg": _theta_grid(args.points, 180.0),
+        "alpha_max": alpha,
+        "boundary_slack": lhs - rhs,
+        "cloning_gap": alpha - CLONER_ETA_MAX,
+    }
+    rows = [dict(zip(columns, row)) for row in zip(*(v.tolist() for v in columns.values()))]
     _emit_rows(args, rows)
     return 0
 

@@ -121,14 +121,8 @@ class JointSpec:
         return cls(spec.a, spec.a_prime, alpha, alpha)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "a": list(self.a),
-                "a_prime": list(self.a_prime),
-                "alpha": self.alpha,
-                "alpha_prime": self.alpha_prime,
-            }
-        )
+        return json.dumps({"a": list(self.a), "a_prime": list(self.a_prime),
+                           "alpha": self.alpha, "alpha_prime": self.alpha_prime})
 
     @classmethod
     def from_json(cls, text: str):
@@ -153,9 +147,7 @@ class SwitchRealization:
         _freeze(self, c=unit3(self.c), c_prime=unit3(self.c_prime))
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"p": self.p, "c": list(self.c), "c_prime": list(self.c_prime)}
-        )
+        return json.dumps({"p": self.p, "c": list(self.c), "c_prime": list(self.c_prime)})
 
     @classmethod
     def from_json(cls, text: str):
@@ -263,16 +255,23 @@ def is_admissible(spec: JointSpec) -> bool:
     return True
 
 
-def max_symmetric_alpha(theta: float) -> float:
-    """Largest alpha = alpha_prime admissible at angle theta.
+def max_symmetric_alpha(theta):
+    """Largest alpha = alpha_prime admissible at each angle theta of an
+    array; a float for a scalar angle, a batch of one.
 
     Closed form 1/sqrt(1 + |sin theta|), the positive boundary root of
     2 alpha^2 - alpha^4 cos^2(theta) = 1.
     """
-    theta = float(theta)
-    if not 0.0 <= theta <= math.pi + ATOL:
+    theta = np.asarray(theta, dtype=float)
+    if not ((0.0 <= theta) & (theta <= math.pi + ATOL)).all():  # also rejects nan
         raise ValueError(f"theta = {theta} outside [0, pi]")
-    return 1.0 / math.sqrt(1.0 + abs(math.sin(theta)))
+    alpha = 1.0 / np.sqrt(1.0 + np.abs(np.sin(theta)))
+    return float(alpha) if alpha.ndim == 0 else alpha
+
+
+def _theta_grid(points: int, half_turn: float = math.pi) -> np.ndarray:
+    """i * half_turn / (points - 1) for i < points, as Python would round it."""
+    return np.arange(points) * half_turn / (points - 1)
 
 
 def _four_effects(weights, d: _Diagonals) -> Povm:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EtaOutOfRange
-from .joint import JointSpec, max_symmetric_alpha, optimal_joint_povm, outcome_values
+from .joint import JointSpec, _theta_grid, max_symmetric_alpha, optimal_joint_povm, outcome_values
 from .povm import _probabilities
 from .qubit import _bloch_rows
 from .sampling import SeededStream, _block_sum, _tally, _word_bounds
@@ -49,23 +49,16 @@ def cloning_joint(theta: float, eta: float = CLONER_ETA_MAX) -> CloningScenario:
     if not 0.0 < eta <= CLONER_ETA_MAX:
         raise EtaOutOfRange(f"eta = {eta} outside (0, {CLONER_ETA_MAX}]")
     alpha_opt = max_symmetric_alpha(theta)
-    return CloningScenario(
-        eta=eta,
-        theta=float(theta),
-        alpha_clone=eta,
-        alpha_optimal=alpha_opt,
-        gap=alpha_opt - eta,
-    )
+    return CloningScenario(eta, float(theta), eta, alpha_opt, alpha_opt - eta)
 
 
 def min_cloning_gap(eta: float = CLONER_ETA_MAX) -> CloningScenario:
     """Scan of the gap over _GAP_SCAN_POINTS angles in [0, pi]; returns the
-    worst case (attained at theta = pi/2, where the bound is strictest)."""
-    scenarios = [
-        cloning_joint(i * math.pi / (_GAP_SCAN_POINTS - 1), eta)
-        for i in range(_GAP_SCAN_POINTS)
-    ]
-    return min(scenarios, key=lambda s: s.gap)
+    worst case (attained at theta = pi/2, where the bound is strictest), the
+    first smallest gap of one array of them; ``cloning_joint`` checks eta."""
+    theta = _theta_grid(_GAP_SCAN_POINTS)
+    worst = int(np.argmin(max_symmetric_alpha(theta) - eta))
+    return cloning_joint(float(theta[worst]), eta)
 
 
 @dataclass(frozen=True)

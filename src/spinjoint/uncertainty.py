@@ -20,7 +20,9 @@ One kernel, ``_relations``, writes each formula once over a batch of
 Bloch vectors, the rows of an (N, 3) array: it checks a and a' and
 computes a_perp, sin(theta) and cos(theta) once per call, and the
 sharpness squares and the admissibility decision once per spec.  The
-public functions and ``evaluate_all`` are batches of one.
+public functions and ``evaluate_all`` are batches of one.  It takes the
+two state-independent relations from ``_product_forms``, which
+``scan-theta`` runs on a whole grid of angles at once.
 """
 
 from __future__ import annotations
@@ -33,14 +35,8 @@ from .errors import CollinearDirections, ZeroAlpha
 from .joint import JointSpec, _joint_variance, _squares, require_admissible
 from .qubit import ATOL, QubitState, _length, unit3
 
-RELATION_IDS = (
-    "product_form",
-    "robertson",
-    "total_joint",
-    "arthurs_goodman",
-    "schroedinger",
-    "cirelson_product",
-)
+RELATION_IDS = ("product_form", "robertson", "total_joint", "arthurs_goodman",
+                "schroedinger", "cirelson_product")
 
 
 @dataclass(frozen=True)
@@ -58,6 +54,19 @@ def _plane_normal(a, a_prime) -> np.ndarray:
     return np.array([a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1])
 
 
+def _product_forms(x, y, cos_t) -> dict:
+    """{relation_id: (lhs, rhs)} of the state-independent relations, over
+    arrays of alpha^2, alpha'^2 and cos(theta): (k - x)(k - y)/(x y) >=
+    sin^2(theta) with k = 1 (product_form) and k = 2 (cirelson_product)."""
+    xy = x * y
+    if not xy.all():  # alpha = 0, or alpha^2 alpha'^2 underflows
+        raise ZeroAlpha("the relations divide by alpha^2 alpha'^2, which is 0 here")
+    sin_sq = np.maximum(0.0, 1.0 - cos_t * cos_t)
+    with np.errstate(over="ignore"):  # a subnormal alpha^2 alpha'^2 gives an inf lhs
+        return {relation_id: ((k - x) * (k - y) / xy, sin_sq)
+                for relation_id, k in (("product_form", 1.0), ("cirelson_product", 2.0))}
+
+
 def _relations(m, spec: JointSpec | None = None, a=None, a_prime=None) -> dict:
     """{relation_id: (lhs, rhs)}, one entry per Bloch row of ``m``.
 
@@ -70,15 +79,11 @@ def _relations(m, spec: JointSpec | None = None, a=None, a_prime=None) -> dict:
         a, a_prime = spec.a, spec.a_prime
     a, a_prime = unit3(a), unit3(a_prime)
     cos_t = float(a @ a_prime)
-    n = 1 if m is None else len(m)
     table = {}
     if spec is not None:
         x, y = spec.alpha**2, spec.alpha_prime**2
-        if x * y == 0.0:  # alpha = 0, or alpha^2 alpha'^2 underflows
-            raise ZeroAlpha("the relations divide by alpha^2 alpha'^2, which is 0 here")
-        sin_sq = np.full(n, max(0.0, 1.0 - cos_t * cos_t))
-        table["product_form"] = (np.full(n, (1.0 - x) * (1.0 - y) / (x * y)), sin_sq)
-        table["cirelson_product"] = (np.full(n, (2.0 - x) * (2.0 - y) / (x * y)), sin_sq)
+        n = 1 if m is None else len(m)
+        table = _product_forms(*np.array([[x], [y], [cos_t]]).repeat(n, 1))
     if m is None:
         return table
     normal = _plane_normal(a, a_prime)

@@ -31,6 +31,23 @@ CLI_MANIFEST = {
     "scan-theta-json": (
         ["scan-theta", "--points", "7", "--format", "json"],
         0, "a48beef8cd79bc8aaee03170555c9f17fadebc3c137039b9dfba4c5458d1efc6", True),
+    # the theta grid, recorded while scan-theta and cloning still went point by
+    # point: the default 181 points, the two end points alone, and 1000 points
+    "scan-theta-default-csv": (
+        ["scan-theta"],
+        0, "607357e5325f2f3cc8efb35de1a8d5e69b365afd8c63e9c8c2b4f6c5ec7b2e87", True),
+    "scan-theta-2-json": (
+        ["scan-theta", "--points", "2", "--format", "json"],
+        0, "9c62b543faef31579fc9baeda4087421193eeb44549c62f425ab7899318d69b7", True),
+    "scan-theta-1000-csv": (
+        ["scan-theta", "--points", "1000"],
+        0, "5c36bb449c35569a8a425cee4f171aae5ee0cdf24bc6ec64e6d0271e1ab06d4e", True),
+    "cloning-30-csv": (
+        ["cloning", "--theta-deg", "30", "--eta", "0.5", "--format", "csv"],
+        0, "fb3f5e6234bc3532b8bb8a4e66b65fe1ee2989b483b25b6df50dd42588df62ef", True),
+    "cloning-eta-out-of-range": (
+        ["cloning", "--eta", "0.9"],
+        1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", False),
     "chsh-90": (
         ["chsh", "--theta-deg", "90"],
         0, "dad8ca8c4857a9b4b4e24565beda87a5d870278b536c444fe75675aa3f4bd5c8", True),

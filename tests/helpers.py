@@ -11,12 +11,22 @@ other route, through explicit complex matrices (Kronecker products,
 traces, ``eigvalsh``), so that tests comparing the two stay independent.
 ``pauli_dot`` builds test inputs with the library's own Pauli kernel, so
 matrices made from it round as package-built operators do.
+
+``scan_theta_rows`` and ``min_cloning_gap_per_point`` keep the per-point
+route that ``scan-theta`` and ``min_cloning_gap`` once took (a
+``JointSpec.from_angle`` and a ``product_form`` call per angle, ``min``
+over one ``cloning_joint`` per angle), as the oracle for their batches.
 """
+
+import functools
+import math
 
 import numpy as np
 
-from spinjoint import PAULI_X, PAULI_Y, PAULI_Z, JointSpec, QubitState, state_from_bloch
+from spinjoint import (PAULI_X, PAULI_Y, PAULI_Z, JointSpec, QubitState, cloning_joint,
+                       product_form, state_from_bloch)
 from spinjoint.qubit import _sigma, vec3
+from spinjoint.scenarios import CLONER_ETA_MAX
 
 
 def random_unit(rng):
@@ -148,3 +158,31 @@ def dense_two_party_probabilities(povm1, povm2, state):
         [np.trace(np.kron(e1.op, e2.op) @ state.rho4).real for e2 in povm2.effects]
         for e1 in povm1.effects
     ])
+
+
+@functools.cache
+def _boundary_point(theta):
+    """(alpha_max, product_form slack) at one angle: alpha_max from math.sin,
+    then a spec at that angle.  Kept per angle, as grids share angles."""
+    alpha = 1.0 / math.sqrt(1.0 + abs(math.sin(theta)))
+    return alpha, product_form(JointSpec.from_angle(theta, alpha, alpha)).slack
+
+
+def scan_theta_rows(points):
+    """scan-theta's rows one angle at a time."""
+    rows = []
+    for i in range(points):
+        alpha, slack = _boundary_point(i * math.pi / (points - 1))
+        rows.append({
+            "theta_deg": i * 180.0 / (points - 1),
+            "alpha_max": alpha,
+            "boundary_slack": slack,
+            "cloning_gap": alpha - CLONER_ETA_MAX,
+        })
+    return rows
+
+
+def min_cloning_gap_per_point(eta, points=181):
+    """The first smallest-gap scenario among one cloning_joint per grid angle."""
+    scenarios = [cloning_joint(i * math.pi / (points - 1), eta) for i in range(points)]
+    return min(scenarios, key=lambda s: s.gap)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from golden import CLI_MANIFEST, check_entry
+from helpers import scan_theta_rows
 from spinjoint import cli
 from spinjoint.cli import main
 
@@ -159,6 +160,15 @@ def test_scan_theta_deterministic_and_correct(capsys):
     alphas = [float(r[1]) for r in rows[:91]]
     assert all(a1 >= a2 - 1e-15 for a1, a2 in zip(alphas, alphas[1:]))
     assert all(abs(float(r[2])) <= 1e-10 for r in rows)
+
+
+@pytest.mark.parametrize("points", [*range(2, 401), 1000])
+def test_scan_theta_matches_the_per_point_route(points, capsys):
+    # 17 significant digits pin every float's bits: the grid batch equals one
+    # JointSpec and one product_form call per angle
+    code, out, _ = run(capsys, ["scan-theta", "--points", str(points)])
+    assert code == 0
+    assert out == cli._csv_text(scan_theta_rows(points))
 
 
 def test_scan_theta_to_file(tmp_path, capsys):

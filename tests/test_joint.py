@@ -19,6 +19,7 @@ from helpers import (
     random_unit,
 )
 from spinjoint import (
+    ATOL,
     ID2,
     BoundViolated,
     DegenerateDirection,
@@ -74,6 +75,36 @@ def test_max_symmetric_alpha_examples():
     assert max_symmetric_alpha(0.0) == 1.0
     # positive root of 2 a^2 - a^4/2 = 1, i.e. a^2 = 2 - sqrt(2)
     assert max_symmetric_alpha(math.pi / 4) == pytest.approx(math.sqrt(2 - SQ2), abs=1e-12)
+
+
+def _theta_grids():
+    return [np.arange(p) * math.pi / (p - 1) for p in (*range(2, 401), 1000, 5001)]
+
+
+def test_max_symmetric_alpha_scalar_is_a_batch_of_one():
+    rng = np.random.default_rng(1801)
+    batches = [*_theta_grids(), rng.uniform(0.0, math.pi, 100_000),
+               np.array([0.0, math.pi, math.pi + 0.5 * ATOL, 5e-324])]
+    for thetas in batches:
+        batch = max_symmetric_alpha(thetas)
+        assert batch.shape == thetas.shape
+        for theta, alpha in zip(thetas.tolist(), batch.tolist()):
+            scalar = max_symmetric_alpha(theta)
+            assert type(scalar) is float
+            assert scalar == alpha == 1 / math.sqrt(1 + abs(math.sin(theta))), theta
+    assert type(max_symmetric_alpha(np.float64(1.0))) is float
+    assert type(max_symmetric_alpha(1)) is float
+
+
+@pytest.mark.parametrize("bad", [-1e-300, -0.5, math.pi + 2 * ATOL, 4.0, math.nan, math.inf])
+def test_max_symmetric_alpha_checks_every_angle(bad):
+    with pytest.raises(ValueError):
+        max_symmetric_alpha(bad)
+    for where in (0, 90, 180):
+        thetas = np.linspace(0.0, math.pi, 181)
+        thetas[where] = bad
+        with pytest.raises(ValueError):
+            max_symmetric_alpha(thetas)
 
 
 def test_max_symmetric_alpha_against_root_finder():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import min_cloning_gap_per_point
 from spinjoint import (
     EtaOutOfRange,
     JointSpec,
@@ -52,6 +53,21 @@ def test_cloning_gap_positive_on_full_grid():
     worst = min_cloning_gap()
     assert worst.gap == pytest.approx(1 / SQ2 - 2 / 3, abs=1e-12)
     assert worst.theta == pytest.approx(math.pi / 2, abs=1e-12)
+
+
+def test_min_cloning_gap_matches_the_per_point_route():
+    # the grid's first smallest gap, taken from one array of alpha_max, is the
+    # scenario min picks among one cloning_joint per angle, to the bit
+    etas = [1e-320, 5e-324, 1e-9, 0.1, 0.5, 0.6, 0.66, 2 / 3]
+    etas += np.linspace(1e-6, 2 / 3, 401).tolist()
+    for eta in etas:
+        assert repr(min_cloning_gap(eta)) == repr(min_cloning_gap_per_point(eta)), eta
+
+
+@pytest.mark.parametrize("eta", [0.0, -1e-320, 0.7, math.nan, math.inf])
+def test_min_cloning_gap_checks_eta(eta):
+    with pytest.raises(EtaOutOfRange):
+        min_cloning_gap(eta)
 
 
 def test_bb84_eve_orthogonal_bases():

@@ -34,7 +34,12 @@ Operators are built from coordinates (``_sigma``) only by
 ``Povm.effects``, the one place a POVM's matrices are made, and by
 ``QubitState._from_coordinates``, and
 eigenvalues come from coordinates (``_coordinate_eigenvalues``) only in
-``Povm._report`` and ``QubitState.__post_init__``."""
+``Povm._report`` and ``QubitState.__post_init__``.
+The theta grid i * pi / (P - 1) is built only in ``joint._theta_grid``,
+called only by ``cli.cmd_scan_theta`` and ``scenarios.min_cloning_gap``,
+which go over the grid as arrays: ``cmd_scan_theta`` builds no
+``JointSpec`` and calls no ``product_form``, and ``min_cloning_gap`` calls
+``cloning_joint`` once, outside any loop."""
 
 import ast
 from pathlib import Path
@@ -52,6 +57,8 @@ OWNERS = {
     "Philox": ("sampling.py", "SeededStream._reader"),
     "SeedSequence": ("sampling.py", "SeededStream._reader"),
     "cross": ("uncertainty.py", "_relations"),
+    "arange": ("joint.py", "_theta_grid"),
+    "linspace": ("joint.py", "_theta_grid"),
 }
 LABEL_DECODER = ("joint.py", "outcome_values")
 MATRIX_EFFECTS = ("povm.py", "povm_from_json")
@@ -65,6 +72,10 @@ DRAW_WALK = ("sampling.py", "_block_sum")
 READER_CALLERS = {("sampling.py", "SeededStream.uniforms"), DRAW_WALK}
 WORD_BOUNDS_CALLERS = {("sampling.py", "_counts"), ("scenarios.py", "bb84_eve")}
 UNIFORMS_CALLERS = {("cli.py", "cmd_uncertainty")}
+SCAN_THETA = ("cli.py", "cmd_scan_theta")
+GAP_SCAN = ("scenarios.py", "min_cloning_gap")
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp,
+         ast.Lambda, ast.FunctionDef)
 
 
 def _nodes():
@@ -198,3 +209,22 @@ def test_one_singlet_and_one_probability_kernel():
         if path == "scenarios.py" and isinstance(node, ast.Call)
     }
     assert not {"state_from_bloch", "outcome_probabilities"} & scenario_calls
+
+
+def test_theta_grid_is_one_batch():
+    assert set(_calls("_theta_grid")) == {SCAN_THETA, GAP_SCAN}
+    scan_names = {_name(node) for path, func, node in _nodes() if (path, func) == SCAN_THETA}
+    assert not {"JointSpec", "from_angle", "product_form"} & scan_names
+    (gap_scan,) = [node for path, func, node in _nodes()
+                   if (path, func) == GAP_SCAN and isinstance(node, ast.FunctionDef)]
+    # one flag per cloning_joint call: whether a loop, a comprehension or a
+    # nested function holds it
+    stack = [(child, False) for child in gap_scan.body]
+    calls = []
+    while stack:
+        node, looped = stack.pop()
+        looped = looped or isinstance(node, LOOPS)
+        if isinstance(node, ast.Call) and _name(node.func) == "cloning_joint":
+            calls.append(looped)
+        stack.extend((child, looped) for child in ast.iter_child_nodes(node))
+    assert calls == [False]
