@@ -7,7 +7,11 @@ normalized.  All output is a pure function of the flags (plus --seed for
 the stochastic subcommands): reruns are byte-identical.
 
 Exit codes: 0 success, 1 domain violation (inadmissible parameters or a
-failed assertion), 2 usage error.
+failed assertion), 2 usage error.  Each ``cmd_*`` is a function of the
+parsed flags alone: a usage error it finds while it runs (conflicting
+flags, a zero sharpness for ``uncertainty``, an unwritable ``--out``) is
+raised as ``argparse.ArgumentTypeError`` or ``ZeroAlpha``, and ``main``
+prints it with the usage message and exits 2.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .correlations import (
     optimal_settings,
     sharp_chsh_reference,
 )
-from .errors import SpinJointError, ZeroAlpha
+from .errors import BoundViolated, SpinJointError, ZeroAlpha
 from .joint import (
     JointSpec,
     _check_sharpness,
@@ -40,7 +44,6 @@ from .joint import (
     bound_lhs,
     general_effect_min_eigenvalues,
     general_joint_povm,
-    is_admissible,
     max_symmetric_alpha,
     product_form_check,
 )
@@ -138,14 +141,15 @@ def _add_output_flags(sub: argparse.ArgumentParser, default_format: str) -> None
     sub.add_argument("--format", choices=("csv", "json"), default=default_format)
 
 
-def _resolve_spec(parser: argparse.ArgumentParser, args) -> JointSpec:
+def _resolve_spec(args) -> JointSpec:
     if args.a_prime is not None and args.theta_deg is not None:
-        parser.error("--a-prime and --theta-deg are mutually exclusive")
+        raise argparse.ArgumentTypeError("--a-prime and --theta-deg are mutually exclusive")
     alpha = args.alpha
     alpha_prime = args.alpha_prime if args.alpha_prime is not None else alpha
     optimal = alpha == "optimal-symmetric"
     if optimal != (alpha_prime == "optimal-symmetric"):
-        parser.error("--alpha and --alpha-prime: two numbers or 'optimal-symmetric' for both")
+        raise argparse.ArgumentTypeError(
+            "--alpha and --alpha-prime: two numbers or 'optimal-symmetric' for both")
     if args.a_prime is not None:
         if optimal:
             return JointSpec.optimal_symmetric(args.a, args.a_prime)
@@ -171,7 +175,7 @@ def _emit(args, text: str) -> None:
     try:
         args.out.write_text(text)
     except OSError as exc:
-        build_parser().error(f"cannot write --out {args.out}: {exc.strerror}")
+        raise argparse.ArgumentTypeError(f"cannot write --out {args.out}: {exc.strerror}") from exc
 
 
 def _csv_text(rows: list[dict]) -> str:
@@ -191,11 +195,11 @@ def _emit_rows(args, rows: list[dict] | dict) -> None:
         _emit(args, _csv_text([rows] if isinstance(rows, dict) else rows))
 
 
-def cmd_validate(parser, args) -> int:
-    spec = _resolve_spec(parser, args)
+def cmd_validate(args) -> int:
+    spec = _resolve_spec(args)
     eigs = general_effect_min_eigenvalues(spec)
     record = {
-        "admissible": is_admissible(spec),
+        "admissible": True,
         "bound_lhs": bound_lhs(spec),
         "product_form": product_form_check(spec),
         "min_eig_pp": eigs[0],
@@ -205,20 +209,19 @@ def cmd_validate(parser, args) -> int:
         "completeness_defect": None,
         "error": "",
     }
-    if record["admissible"]:
+    try:
         report = validate_povm(general_joint_povm(spec))
-        record["completeness_defect"] = report.completeness_defect
-        if report.passes:
-            _emit_rows(args, record)
-            return 0
-        record["error"] = "; ".join(report.failures)
+    except BoundViolated as exc:
+        record["admissible"] = False
+        record["error"] = f"BoundViolated: effect eigenvalue {exc.min_eigenvalue} < 0"
     else:
-        record["error"] = f"BoundViolated: effect eigenvalue {min(eigs)} < 0"
+        record["completeness_defect"] = report.completeness_defect
+        record["error"] = "; ".join(report.failures)
     _emit_rows(args, record)
-    return 1
+    return 1 if record["error"] else 0
 
 
-def cmd_scan_theta(parser, args) -> int:
+def cmd_scan_theta(args) -> int:
     theta = _theta_grid(args.points)
     alpha = max_symmetric_alpha(theta)
     x = _squares(alpha)
@@ -236,8 +239,8 @@ def cmd_scan_theta(parser, args) -> int:
     return 0
 
 
-def cmd_chsh(parser, args) -> int:
-    spec = _resolve_spec(parser, args)
+def cmd_chsh(args) -> int:
+    spec = _resolve_spec(args)
     settings = optimal_settings(spec)
     corr = joint_correlations(spec, settings)
     value = chsh_value(corr)
@@ -263,24 +266,16 @@ def cmd_chsh(parser, args) -> int:
     return 0 if value <= 2.0 + TOL else 1
 
 
-def cmd_sample(parser, args) -> int:
-    spec = _resolve_spec(parser, args)
+def cmd_sample(args) -> int:
+    spec = _resolve_spec(args)
     state = state_from_bloch(args.bloch)
     povm = general_joint_povm(spec)
     stream = SeededStream(args.seed)
     stats = sample_povm(povm, state, args.n, stream)
     meta = stream.metadata(args.n)
     if args.format == "json":
-        _emit(args, json.dumps(
-            {
-                "metadata": meta,
-                "counts": stats.counts,
-                "mean": stats.mean,
-                "variance": stats.variance,
-                "stderr": stats.stderr,
-            },
-            indent=2,
-        ) + "\n")
+        _emit_rows(args, {"metadata": meta, "counts": stats.counts, "mean": stats.mean,
+                          "variance": stats.variance, "stderr": stats.stderr})
     else:
         counts = stats.counts.items()
         rows = [{"label": k, "count": c, "frequency": c / stats.n} for k, c in counts]
@@ -288,8 +283,8 @@ def cmd_sample(parser, args) -> int:
     return 0
 
 
-def cmd_signal(parser, args) -> int:
-    spec = _resolve_spec(parser, args)
+def cmd_signal(args) -> int:
+    spec = _resolve_spec(args)
     settings = optimal_settings(spec)
     result = signalling_experiment(spec, settings, args.n, SeededStream(args.seed))
     record = {
@@ -315,12 +310,9 @@ def _random_bloch(u: np.ndarray) -> np.ndarray:
     return r[:, None] * np.column_stack([sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t])
 
 
-def cmd_uncertainty(parser, args) -> int:
-    spec = _resolve_spec(parser, args)
-    try:
-        product_form(spec)  # the library's sharpness check, before any draw
-    except ZeroAlpha as exc:
-        parser.error(str(exc))
+def cmd_uncertainty(args) -> int:
+    spec = _resolve_spec(args)
+    product_form(spec)  # the library's sharpness check (ZeroAlpha), before any draw
     u = SeededStream(args.seed).uniforms(0, 3 * args.samples)
     table = _relations(_bloch_rows(_random_bloch(u))[:, 1:], spec)
     lhs = np.column_stack([table[r][0] for r in RELATION_IDS])
@@ -335,7 +327,7 @@ def cmd_uncertainty(parser, args) -> int:
     return 0 if slack.min() >= -TOL else 1
 
 
-def cmd_bb84(parser, args) -> int:
+def cmd_bb84(args) -> int:
     thetas = [math.pi / 2, math.pi / 4]
     if args.theta_deg is not None:
         thetas = [math.radians(args.theta_deg)]
@@ -362,7 +354,7 @@ def cmd_bb84(parser, args) -> int:
     return 0
 
 
-def cmd_cloning(parser, args) -> int:
+def cmd_cloning(args) -> int:
     theta = math.radians(args.theta_deg if args.theta_deg is not None else 90.0)
     scenario = cloning_joint(theta, args.eta)
     worst = min_cloning_gap(args.eta)
@@ -449,7 +441,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(parser, args)
+        return args.func(args)
+    except (argparse.ArgumentTypeError, ZeroAlpha) as exc:
+        parser.error(str(exc))
     except SpinJointError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

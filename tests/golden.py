@@ -25,6 +25,14 @@ CLI_MANIFEST = {
     "validate-inadmissible": (
         ["validate", "--alpha", "1", "--alpha-prime", "1"],
         1, "7d8588c43dbe04e8e8cd812f39ff276269e9ac6e51d8b889f70aa05f2260cf12", True),
+    # the one csv record with an empty cell (completeness_defect None), and a'
+    # given as a vector rather than an angle
+    "validate-inadmissible-csv": (
+        ["validate", "--alpha", "1", "--alpha-prime", "1", "--format", "csv"],
+        1, "fc988d3002b5f10227baf3fa8b39645a222bea4639a803027541c1373c56889b", True),
+    "validate-a-prime-csv": (
+        ["validate", "--a-prime", "1,0,0", "--format", "csv"],
+        0, "d261f8d03b0b0fbf737f152b3f29f974c6e80e6c0ae751e50fef7871b6ebf79b", True),
     "scan-theta-csv": (
         ["scan-theta", "--points", "7", "--format", "csv"],
         0, "56568489830439ebbf1d4f261b1bddcf81bdda95b8d1afe93472e5162ac87dec", True),

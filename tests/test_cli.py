@@ -1,17 +1,22 @@
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from golden import CLI_MANIFEST, check_entry
 from helpers import scan_theta_rows
-from spinjoint import cli
+from spinjoint import cli, validate
 from spinjoint.cli import main
 
 SQ2 = math.sqrt(2.0)
@@ -46,6 +51,25 @@ def test_validate_violating_case(capsys):
     assert doc["admissible"] is False
     assert "BoundViolated" in doc["error"]
     assert doc["min_eig_pp"] == pytest.approx(0.25 * (1 - 0.8 * SQ2), abs=1e-12)
+
+
+def test_validate_reports_a_failing_measurement_check(capsys, monkeypatch):
+    # an admissible spec whose generated POVM fails its check: exit 1, the
+    # failures joined in "error", the defect filled in
+    def failing(povm):
+        return dataclasses.replace(
+            validate(povm), passes=False, completeness_defect=0.5,
+            failures=("effect '++' has eigenvalue -1", "completeness defect 0.5"),
+        )
+
+    monkeypatch.setattr(cli, "validate_povm", failing)
+    code, out, err = run(capsys, ["validate"])
+    assert code == 1
+    assert err == ""
+    doc = json.loads(out)
+    assert doc["admissible"] is True
+    assert doc["completeness_defect"] == 0.5
+    assert doc["error"] == "effect '++' has eigenvalue -1; completeness defect 0.5"
 
 
 def test_validate_malformed_vector_exits_2(capsys):
@@ -83,6 +107,8 @@ def test_validate_conflicting_direction_flags(capsys):
         ["validate", "--a=1e308,1e308,0"],  # |a| overflows
         ["uncertainty", "--alpha", "0", "--alpha-prime", "0.5"],
         ["uncertainty", "--alpha", "1e-200", "--alpha-prime", "1e-200"],  # alpha^2 underflows
+        ["sample", "--bloch=nan,0,0", "--n", "10", "--seed", "1"],
+        ["validate", "--a=inf,0,0"],
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -94,6 +120,38 @@ def test_usage_errors_exit_2(capsys, argv):
     assert out.out == ""
     assert out.err.startswith("usage: spinjoint")
     assert "Traceback" not in out.err
+
+
+# a usage error found while a command runs prints the top-level usage line,
+# wrapped as argparse wraps it at 80 columns
+TOP_USAGE = (
+    "usage: spinjoint [-h]\n"
+    "                 {validate,scan-theta,chsh,sample,signal,uncertainty,bb84,cloning}\n"
+    "                 ...\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["validate", "--a-prime", "1,0,0", "--theta-deg", "45"],
+         "--a-prime and --theta-deg are mutually exclusive"),
+        (["chsh", "--alpha-prime", "0.3"],
+         "--alpha and --alpha-prime: two numbers or 'optimal-symmetric' for both"),
+        (["uncertainty", "--alpha", "0", "--alpha-prime", "0"],
+         "the relations divide by alpha^2 alpha'^2, which is 0 here"),
+        (["validate", "--out", "{tmp}"], "cannot write --out {tmp}: Is a directory"),
+    ],
+)
+def test_usage_errors_found_by_a_command_print_this_text(tmp_path, capsys, monkeypatch,
+                                                         argv, message):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as excinfo:
+        main([arg.format(tmp=tmp_path) for arg in argv])
+    out = capsys.readouterr()
+    assert excinfo.value.code == 2
+    assert out.out == ""
+    assert out.err == TOP_USAGE + "spinjoint: error: " + message.format(tmp=tmp_path) + "\n"
 
 
 def _must_not_run(*args):
@@ -381,3 +439,21 @@ def test_tiny_sharpness_prints_no_overflow_warning(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "c408cc930068ed779d2729a75fdaa5aae9d4ca7d9d97b8c9ec2619d937c54bd5"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["validate", "--format", "csv"], 0),
+     (["validate", "--alpha", "1", "--alpha-prime", "1"], 1),
+     (["bb84", "--n", "0"], 2)],
+)
+def test_python_dash_m_entry_point(argv, code):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "spinjoint", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == code, done.stderr
+    if code == 0:
+        digest = CLI_MANIFEST["validate-csv"][2]
+        assert hashlib.sha256(done.stdout.encode()).hexdigest() == digest
+    if code == 2:
+        assert done.stderr.startswith("usage:")

@@ -406,6 +406,23 @@ def test_joint_spec_from_angle_geometry():
     assert spec.a_prime[1] == pytest.approx(0.0, abs=1e-15)  # xz-plane for default a
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_joint_spec_from_angle_on_the_x_axis_turns_toward_z(sign):
+    # a along the x reference axis: a' is placed in the plane of a and z
+    for theta in (0.0, 0.3, math.pi / 2, 2.5, math.pi):
+        spec = JointSpec.from_angle(theta, 0.3, 0.4, a=(sign, 0.0, 0.0))
+        assert float(spec.a @ spec.a_prime) == math.cos(theta)
+        assert float(np.linalg.norm(spec.a_prime)) == pytest.approx(1.0, abs=1e-15)
+        assert spec.a_prime[1] == 0.0
+        assert spec.a_prime[2] == math.sin(theta)
+
+
+def test_switch_realization_refuses_a_non_probability():
+    for p in (1.5, -0.1, math.nan):
+        with pytest.raises(ValueError):
+            SwitchRealization(p, X, Z)
+
+
 def test_joint_spec_json_round_trip():
     spec = JointSpec(X, Z, 0.25, 0.75)
     restored = JointSpec.from_json(spec.to_json())

@@ -217,6 +217,12 @@ def test_two_party_singlet_anticorrelation():
     assert probs[1, 1] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_two_party_refuses_a_one_qubit_state():
+    z = projective_povm((0, 0, 1))
+    with pytest.raises(InvalidState):
+        two_party_probabilities(z, z, state_from_bloch((0, 0, 0.5)))
+
+
 def test_two_party_product_state_factorizes():
     rng = np.random.default_rng(9)
     s1, s2 = random_state(rng), random_state(rng)

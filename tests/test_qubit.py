@@ -173,6 +173,10 @@ def test_qubit_state_validation():
         QubitState(np.array([[0.8, 0.0], [0.0, 0.8]]))  # trace 1.6
     with pytest.raises(InvalidState):
         QubitState(np.array([[1.2, 0.0], [0.0, -0.2]]))  # negative eigenvalue
+    with pytest.raises(InvalidState):
+        QubitState(np.zeros((3, 2)))  # not 2x2
+    with pytest.raises(InvalidState):
+        QubitState(np.array([[math.nan, 0.0], [0.0, 1.0]]))  # not finite
 
 
 def test_two_qubit_state_validation_and_partial_trace():

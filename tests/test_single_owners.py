@@ -13,8 +13,8 @@ mask rather than by itself (``sample_indices`` keeps the public index
 lookup), the generator's name is spelled only in ``sampling.py``,
 "+"/"-" labels are read only by ``joint.outcome_values``, ``chsh --n``
 and ``signal`` share one two-analyzer run, and the measurement-plane
-normal a x a' is computed only in the uncertainty kernel
-``uncertainty._relations``.
+normal a x a' is computed only in ``uncertainty._plane_normal``, which
+only the uncertainty kernel ``uncertainty._relations`` calls.
 POVMs are row arrays: package code builds each one from its (k, 4) Pauli
 rows in ``Povm._from_coordinates``, and the checked constructors
 ``Effect(label, op)`` and ``Povm(effects)`` serve only matrices read by
@@ -39,7 +39,14 @@ The theta grid i * pi / (P - 1) is built only in ``joint._theta_grid``,
 called only by ``cli.cmd_scan_theta`` and ``scenarios.min_cloning_gap``,
 which go over the grid as arrays: ``cmd_scan_theta`` builds no
 ``JointSpec`` and calls no ``product_form``, and ``min_cloning_gap`` calls
-``cloning_joint`` once, outside any loop."""
+``cloning_joint`` once, outside any loop.
+Each CLI command is a function of its parsed flags alone: no ``cmd_*``
+takes the parser, a usage error becomes exit 2 only through
+``parser.error`` in ``cli.main`` (the one caller of ``build_parser`` in
+``cli.py``), indented JSON is written only by ``cli._emit_rows``, and
+``cmd_validate`` takes its admissibility verdict from the one
+``general_joint_povm`` call, never from ``is_admissible`` or
+``require_admissible``."""
 
 import ast
 from pathlib import Path
@@ -56,7 +63,7 @@ OWNERS = {
     "searchsorted": ("sampling.py", "sample_indices"),
     "Philox": ("sampling.py", "SeededStream._reader"),
     "SeedSequence": ("sampling.py", "SeededStream._reader"),
-    "cross": ("uncertainty.py", "_relations"),
+    "cross": ("uncertainty.py", "_plane_normal"),
     "arange": ("joint.py", "_theta_grid"),
     "linspace": ("joint.py", "_theta_grid"),
 }
@@ -73,6 +80,8 @@ READER_CALLERS = {("sampling.py", "SeededStream.uniforms"), DRAW_WALK}
 WORD_BOUNDS_CALLERS = {("sampling.py", "_counts"), ("scenarios.py", "bb84_eve")}
 UNIFORMS_CALLERS = {("cli.py", "cmd_uncertainty")}
 SCAN_THETA = ("cli.py", "cmd_scan_theta")
+CLI_MAIN = ("cli.py", "main")
+JSON_WRITER = ("cli.py", "_emit_rows")
 GAP_SCAN = ("scenarios.py", "min_cloning_gap")
 LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp,
          ast.Lambda, ast.FunctionDef)
@@ -228,3 +237,38 @@ def test_theta_grid_is_one_batch():
             calls.append(looped)
         stack.extend((child, looped) for child in ast.iter_child_nodes(node))
     assert calls == [False]
+
+
+def test_plane_normal_has_one_caller():
+    assert _calls("_plane_normal") == [("uncertainty.py", "_relations")]
+
+
+def test_cli_commands_take_only_their_flags():
+    commands = {func: [arg.arg for arg in node.args.args]
+                for path, func, node in _nodes()
+                if path == "cli.py" and isinstance(node, ast.FunctionDef)
+                and func.startswith("cmd_")}
+    assert len(commands) == 8
+    assert all(params == ["args"] for params in commands.values()), commands
+
+
+def test_one_usage_error_exit():
+    assert _calls("error") == [CLI_MAIN]
+    assert [(path, func) for path, func in _calls("build_parser") if path == "cli.py"] == [CLI_MAIN]
+
+
+def test_one_indented_json_writer_in_the_cli():
+    indented = [
+        (path, func)
+        for path, func, node in _nodes()
+        if path == "cli.py" and isinstance(node, ast.Call) and _name(node.func) == "dumps"
+        and any(keyword.arg == "indent" for keyword in node.keywords)
+    ]
+    assert indented == [JSON_WRITER]
+
+
+def test_validate_decides_admissibility_once():
+    validate = ("cli.py", "cmd_validate")
+    names = {_name(node) for path, func, node in _nodes() if (path, func) == validate}
+    assert not {"is_admissible", "require_admissible"} & names
+    assert _calls("general_joint_povm").count(validate) == 1
