@@ -314,7 +314,7 @@ def cmd_uncertainty(args) -> int:
     spec = _resolve_spec(args)
     product_form(spec)  # the library's sharpness check (ZeroAlpha), before any draw
     u = SeededStream(args.seed).uniforms(0, 3 * args.samples)
-    table = _relations(_bloch_rows(_random_bloch(u))[:, 1:], spec)
+    table = _relations(_bloch_rows(_random_bloch(u)), spec.a, spec.a_prime, spec)
     lhs = np.column_stack([table[r][0] for r in RELATION_IDS])
     rhs = np.column_stack([table[r][1] for r in RELATION_IDS])
     slack = lhs - rhs

@@ -11,9 +11,9 @@ from the rows only when asked (iteration, ``effect(label)``, JSON).
 Construction checks only structure, so defective candidates can be built
 and inspected; ``validate`` reports positivity and completeness from the
 rows, once per POVM object, and the Born-rule evaluators refuse POVMs
-that fail it.  One-party probabilities come from one kernel over (N, 4)
-state rows, ``_probabilities``; ``outcome_probabilities`` is its batch
-of one.
+that fail it.  A state is its row too, so one-party probabilities come
+from one kernel over (N, 4) state rows, ``_probabilities``, with no
+matrix; ``outcome_probabilities`` is its batch of one.
 """
 
 from __future__ import annotations
@@ -27,14 +27,13 @@ import numpy as np
 
 from .errors import InvalidPovm, InvalidState, NotHermitian
 from .qubit import (
-    ID2,
     TOL,
     QubitState,
     TwoQubitState,
     _coordinate_eigenvalues,
     _freeze,
+    _operators,
     _pauli_coordinates,
-    _sigma,
     is_hermitian,
     unit3,
 )
@@ -90,9 +89,7 @@ class Povm:
     def effects(self) -> tuple[Effect, ...]:
         """The effects; for a package-built POVM, unchecked read-only
         operators 0.5 (t + r.sigma) made from the rows on first use."""
-        t, x, y, z = self._pauli.T
-        ops = 0.5 * (t[:, None, None] * ID2 + _sigma(x, y, z).transpose(2, 0, 1))
-        ops.setflags(write=False)
+        ops = _operators(self._pauli)
         views = tuple(object.__new__(Effect) for _ in self.labels)
         for e, label, op, row in zip(views, self.labels, ops, self._pauli):
             vars(e).update(label=label, op=op, _pauli=row)  # read-only views

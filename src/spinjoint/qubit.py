@@ -1,14 +1,15 @@
 """Exact small-dimension algebra for spin-1/2.
 
-Pauli matrices, Bloch-vector density matrices and closed-form
-eigenvalues.  Born-rule quantities and eigenvalues use the real Pauli
-coordinates (t, r) = Re tr(sigma_mu m) of m = (t + r.sigma)/2.  Package
-states start from Bloch vectors, whose coordinates only ``_bloch_rows``
-computes; user-supplied matrices are checked and read once.
+Pauli matrices, Bloch vectors and closed-form eigenvalues.  A state or
+effect m = (t + r.sigma)/2 is its real Pauli row (t, r) = Re tr(sigma_mu m):
+eigenvalues and Born-rule quantities use the rows, and ``_operators`` makes
+the matrix from a row only on first use.  Only ``_bloch_rows`` computes the
+rows of package states; user-supplied matrices are checked and read once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -67,6 +68,15 @@ def _sigma(x, y, z) -> np.ndarray:
     return np.array([[z, x - 1j * y], [x + 1j * y, -z]], dtype=complex)
 
 
+def _operators(rows) -> np.ndarray:
+    """The read-only (k, 2, 2) matrices 0.5 (t + r.sigma) of trusted (k, 4)
+    Pauli rows (t, r): the package's one way from rows to matrices."""
+    t, x, y, z = rows.T
+    ops = 0.5 * (t[:, None, None] * ID2 + _sigma(x, y, z).transpose(2, 0, 1))
+    ops.setflags(write=False)
+    return ops
+
+
 def is_hermitian(mat) -> bool:
     m = np.asarray(mat, dtype=complex)
     return bool(np.max(np.abs(m - m.conj().T)) <= ATOL)
@@ -116,30 +126,33 @@ def _density_matrix(rho, dim: int) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class QubitState:
-    """Single-qubit density matrix rho = (1 + m.sigma)/2.
+    """Single-qubit state rho = (1 + m.sigma)/2, held as its Pauli row (tr rho, m).
 
-    Construction validates Hermiticity, unit trace and positivity; the
-    stored array is read-only afterwards.
+    ``QubitState(rho)`` checks shape, entries, Hermiticity, trace and
+    positivity and keeps the row; ``rho`` is made from it on first use.
     """
 
-    rho: np.ndarray
+    _pauli: np.ndarray
 
-    def __post_init__(self):
-        m = _density_matrix(self.rho, 2)
-        coords = _pauli_coordinates(m)
+    def __init__(self, rho):
+        coords = _pauli_coordinates(_density_matrix(rho, 2))
         lo, _ = _coordinate_eigenvalues(coords)
         if lo < -ATOL:
             raise InvalidState(f"negative eigenvalue {lo}")
-        _freeze(self, rho=m, _pauli=coords)  # _pauli = (tr rho, m)
+        _freeze(self, _pauli=coords)
 
     @classmethod
-    def _from_coordinates(cls, m, pauli) -> QubitState:
-        """(1 + m.sigma)/2 with its ``_bloch_rows`` row ``pauli``: no checks."""
+    def _from_coordinates(cls, pauli) -> QubitState:
+        """The state of a ``_bloch_rows`` row ``pauli``: no checks."""
         state = object.__new__(cls)
-        _freeze(state, rho=0.5 * (ID2 + _sigma(*m)), _pauli=pauli)
+        _freeze(state, _pauli=pauli)
         return state
+
+    @functools.cached_property
+    def rho(self) -> np.ndarray:
+        return _operators(self._pauli[None])[0]
 
     @property
     def bloch_vector(self) -> np.ndarray:
@@ -179,5 +192,4 @@ def _bloch_rows(m) -> np.ndarray:
 
 def state_from_bloch(m) -> QubitState:
     """rho = (1 + m.sigma)/2 for a Bloch vector inside the unit ball."""
-    arr = vec3(m)
-    return QubitState._from_coordinates(arr, _bloch_rows(arr[None])[0])
+    return QubitState._from_coordinates(_bloch_rows(vec3(m)[None])[0])

@@ -16,13 +16,14 @@ product_form is state independent and saturates exactly when the
 sharpness bound is saturated; cirelson_product is the analogous
 translation of the 2 sqrt(2) correlation ceiling and admits al = al' = 1.
 
-One kernel, ``_relations``, writes each formula once over a batch of
-Bloch vectors, the rows of an (N, 3) array: it checks a and a' and
-computes a_perp, sin(theta) and cos(theta) once per call, and the
-sharpness squares and the admissibility decision once per spec.  The
-public functions and ``evaluate_all`` are batches of one.  It takes the
-two state-independent relations from ``_product_forms``, which
-``scan-theta`` runs on a whole grid of angles at once.
+One kernel, ``_relations``, writes each formula once over the (N, 4) Pauli
+rows (t, m) of a batch of states, for unit directions a and a' that the
+caller checked: only ``robertson`` and ``schroedinger`` take theirs
+unchecked.  It computes a_perp, sin(theta) and cos(theta) once per call,
+and the sharpness squares and the admissibility decision once per spec.
+The public functions and ``evaluate_all`` are batches of one.  The two
+state-independent relations come from ``_product_forms``, run per spec by
+``_spec_product_forms`` and on a whole grid of angles by ``scan-theta``.
 """
 
 from __future__ import annotations
@@ -67,25 +68,19 @@ def _product_forms(x, y, cos_t) -> dict:
                 for relation_id, k in (("product_form", 1.0), ("cirelson_product", 2.0))}
 
 
-def _relations(m, spec: JointSpec | None = None, a=None, a_prime=None) -> dict:
-    """{relation_id: (lhs, rhs)}, one entry per Bloch row of ``m``.
+def _spec_product_forms(spec: JointSpec, n: int = 1) -> dict:
+    """``_product_forms`` of one spec, repeated over a batch of n."""
+    x, y, cos_t = spec.alpha**2, spec.alpha_prime**2, float(spec.a @ spec.a_prime)
+    return _product_forms(*np.array([[x], [y], [cos_t]]).repeat(n, 1))
 
-    The directions are the spec's, or ``a`` and ``a_prime`` without one.
-    Without ``spec`` only the bare relations (robertson, schroedinger);
-    with ``m=None`` only the state-independent product forms, as a batch
-    of one.  The joint relations need both.
-    """
-    if spec is not None:
-        a, a_prime = spec.a, spec.a_prime
-    a, a_prime = unit3(a), unit3(a_prime)
+
+def _relations(rows, a, a_prime, spec: JointSpec | None = None) -> dict:
+    """{relation_id: (lhs, rhs)}, one entry per (N, 4) Pauli row (t, m) of
+    ``rows``, for checked unit directions: the bare relations (robertson,
+    schroedinger), and with ``spec``, whose directions they are, all six."""
+    table = {} if spec is None else _spec_product_forms(spec, len(rows))
+    m = rows[:, 1:]
     cos_t = float(a @ a_prime)
-    table = {}
-    if spec is not None:
-        x, y = spec.alpha**2, spec.alpha_prime**2
-        n = 1 if m is None else len(m)
-        table = _product_forms(*np.array([[x], [y], [cos_t]]).repeat(n, 1))
-    if m is None:
-        return table
     normal = _plane_normal(a, a_prime)
     sin_t = float(_length(normal))
     if sin_t < ATOL:
@@ -98,6 +93,7 @@ def _relations(m, spec: JointSpec | None = None, a=None, a_prime=None) -> dict:
     table["schroedinger"] = (bare, commutator + _squares(cos_t - ea * eap))
     if spec is not None:
         require_admissible(spec)
+        x, y = spec.alpha**2, spec.alpha_prime**2
         with np.errstate(over="ignore"):  # a subnormal alpha^2 alpha'^2 gives an inf lhs
             joint = _joint_variance(x, ea) * _joint_variance(y, eap) / (x * y)
         table["total_joint"] = (joint, _squares(sin_t * (1.0 + np.abs(perp))))
@@ -113,19 +109,19 @@ def _report(relation_id: str, table: dict) -> UncertaintyReport:
 def product_form(spec: JointSpec) -> UncertaintyReport:
     """State-independent cost of jointness; slack 0 exactly at saturation
     of the sharpness bound."""
-    return _report("product_form", _relations(None, spec))
+    return _report("product_form", _spec_product_forms(spec))
 
 
 def robertson(state: QubitState, a, a_prime) -> UncertaintyReport:
     """Commutator bound on the bare variance product; state dependent and
     not always tight."""
-    return _report("robertson", _relations(state.bloch_vector[None], a=a, a_prime=a_prime))
+    return _report("robertson", _relations(state._pauli[None], unit3(a), unit3(a_prime)))
 
 
 def total_joint(spec: JointSpec, state: QubitState) -> UncertaintyReport:
     """Bound on the total joint-variance product, combining the jointness
     cost with the commutator bound; specific to spin directions."""
-    return _report("total_joint", _relations(state.bloch_vector[None], spec))
+    return _report("total_joint", _relations(state._pauli[None], spec.a, spec.a_prime, spec))
 
 
 def arthurs_goodman(spec: JointSpec, state: QubitState) -> UncertaintyReport:
@@ -135,7 +131,7 @@ def arthurs_goodman(spec: JointSpec, state: QubitState) -> UncertaintyReport:
     and the ``total_joint`` rhs is never smaller for the same state, with
     equality at |x| = 1.
     """
-    return _report("arthurs_goodman", _relations(state.bloch_vector[None], spec))
+    return _report("arthurs_goodman", _relations(state._pauli[None], spec.a, spec.a_prime, spec))
 
 
 def schroedinger(state: QubitState, a, a_prime) -> UncertaintyReport:
@@ -145,16 +141,16 @@ def schroedinger(state: QubitState, a, a_prime) -> UncertaintyReport:
     (cos(theta) - <A><A'>)^2; for every pure qubit state the relation is
     an identity (slack 0).
     """
-    return _report("schroedinger", _relations(state.bloch_vector[None], a=a, a_prime=a_prime))
+    return _report("schroedinger", _relations(state._pauli[None], unit3(a), unit3(a_prime)))
 
 
 def cirelson_product(spec: JointSpec) -> UncertaintyReport:
     """Product translation of the 2 sqrt(2) correlation ceiling; places
     no restriction below full sharpness."""
-    return _report("cirelson_product", _relations(None, spec))
+    return _report("cirelson_product", _spec_product_forms(spec))
 
 
 def evaluate_all(spec: JointSpec, state: QubitState) -> list[UncertaintyReport]:
     """All six relations for one (spec, state) pair, in RELATION_IDS order."""
-    table = _relations(state.bloch_vector[None], spec)
+    table = _relations(state._pauli[None], spec.a, spec.a_prime, spec)
     return [_report(relation_id, table) for relation_id in RELATION_IDS]

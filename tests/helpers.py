@@ -12,14 +12,21 @@ traces, ``eigvalsh``), so that tests comparing the two stay independent.
 ``pauli_dot`` builds test inputs with the library's own Pauli kernel, so
 matrices made from it round as package-built operators do.
 
+``exact_admissible`` and ``exact_eigenvalues`` take the spec's own floats
+as exact rationals (``fractions.Fraction``): the admissibility verdict is
+then a polynomial test, and the eigenvalues need only one square root,
+taken to 50 digits with ``decimal``.
+
 ``scan_theta_rows`` and ``min_cloning_gap_per_point`` keep the per-point
 route that ``scan-theta`` and ``min_cloning_gap`` once took (a
 ``JointSpec.from_angle`` and a ``product_form`` call per angle, ``min``
 over one ``cloning_joint`` per angle), as the oracle for their batches.
 """
 
+import decimal
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -145,6 +152,38 @@ def dense_admissibility(spec):
     pform = spec.alpha**2 + spec.alpha_prime**2 - k**2
     min_eig = min(np.linalg.eigvalsh(m)[0] for m in dense_joint_effects(spec))
     return diag_sum, pform, float(min_eig)
+
+
+def _exact_pairs(spec):
+    """(w, |v|^2) of the general family's effects (w +- v.sigma)/4, for
+    (w_plus, v_plus) and (w_minus, v_minus), in exact arithmetic on the
+    spec's own floats."""
+    a, ap = [Fraction(x) for x in spec.a.tolist()], [Fraction(x) for x in spec.a_prime.tolist()]
+    al, alp = Fraction(spec.alpha), Fraction(spec.alpha_prime)
+    k = al * alp * sum(x * y for x, y in zip(a, ap))
+    pairs = []
+    for sign in (1, -1):
+        v = [al * x + sign * alp * y for x, y in zip(a, ap)]
+        pairs.append((1 + sign * k, sum(c * c for c in v)))
+    return pairs
+
+
+def exact_admissible(spec, tol):
+    """The verdict "smallest effect eigenvalue (w - |v|)/4 >= -tol", exactly:
+    for each pair, w + 4 tol >= 0 and |v|^2 <= (w + 4 tol)^2."""
+    t = 4 * Fraction(tol)
+    return all(w + t >= 0 and n_sq <= (w + t) ** 2 for w, n_sq in _exact_pairs(spec))
+
+
+def exact_eigenvalues(spec, digits=50):
+    """(eig_plus, eig_minus) = (w - |v|)/4 as Decimals to ``digits`` digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        return tuple(
+            (decimal.Decimal(w.numerator) / w.denominator
+             - (decimal.Decimal(n_sq.numerator) / n_sq.denominator).sqrt()) / 4
+            for w, n_sq in _exact_pairs(spec)
+        )
 
 
 def dense_outcome_probabilities(povm, state):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from scipy.optimize import brentq
 from helpers import (
     boundary_alphas,
     dense_admissibility,
+    exact_admissible,
+    exact_eigenvalues,
     pauli_dot,
     random_admissible_spec,
     random_direction_pair,
@@ -21,6 +24,7 @@ from helpers import (
 from spinjoint import (
     ATOL,
     ID2,
+    TOL,
     BoundViolated,
     DegenerateDirection,
     Effect,
@@ -49,7 +53,7 @@ from spinjoint import (
     validate,
 )
 from spinjoint import cli, joint
-from spinjoint.joint import require_admissible
+from spinjoint.joint import _decide, require_admissible
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -215,6 +219,42 @@ def test_validate_eigenvalues_equal_closed_form_in_boundary_band():
         assert validate(povm).min_eigenvalues == general_effect_min_eigenvalues(spec)
         compared += 1
     assert compared > 2400  # every spec below alpha_max and some above it
+
+
+# allowance of the float eigenvalues (w - |v|)/4 against exact ones: w and
+# |v| are O(1) sums of a few rounded products
+EIG_ERROR = 4 * np.finfo(float).eps
+
+
+@st.composite
+def near_boundary_specs(draw):
+    """Specs at alpha = alpha_max(theta)(1 +- 10^e) for e in [-16, -8], with
+    alpha' within 1e-9 of alpha and a random first direction."""
+    theta = draw(st.floats(0.01, math.pi - 0.01))
+    alpha = max_symmetric_alpha(theta) * (1.0 + draw(st.sampled_from((1.0, -1.0)))
+                                          * 10.0 ** draw(st.floats(-16.0, -8.0)))
+    alpha_p = alpha * (1.0 + draw(st.floats(-1e-9, 1e-9)))
+    a = np.array(draw(st.tuples(coords, coords, coords)
+                      .filter(lambda v: np.linalg.norm(v) > 1e-3)))
+    return JointSpec.from_angle(theta, alpha, alpha_p, a / np.linalg.norm(a))
+
+
+@given(near_boundary_specs())
+@settings(deadline=None, max_examples=200)
+def test_float_eigenvalues_are_within_rounding_of_exact(spec):
+    d = spec._parallelogram
+    for got, want in zip((d.eig_plus, d.eig_minus), exact_eigenvalues(spec)):
+        assert abs(Decimal(float(got)) - want) <= EIG_ERROR
+
+
+@given(near_boundary_specs())
+@settings(deadline=None, max_examples=200)
+def test_admissibility_decision_matches_exact_arithmetic(spec):
+    if abs(min(exact_eigenvalues(spec)) + Decimal(TOL)) <= EIG_ERROR:
+        return  # within rounding of the threshold, either verdict is right
+    exact = exact_admissible(spec, TOL)
+    assert _accepts(lambda s: _decide(s._parallelogram), spec) == exact
+    assert is_admissible(spec) == exact
 
 
 def test_optimal_joint_povm_explicit_matrix():

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -41,7 +42,9 @@ from spinjoint import (
     TwoQubitState,
     bb84_eve,
     born_correlations,
+    evaluate_all,
     general_joint_povm,
+    joint_variances,
     max_symmetric_alpha,
     no_signalling_probe,
     optimal_joint_povm,
@@ -53,6 +56,8 @@ from spinjoint import (
     sample_povm,
     sample_two_party,
     signalling_experiment,
+    robertson,
+    schroedinger,
     singlet,
     state_from_bloch,
     switch_povm,
@@ -60,7 +65,7 @@ from spinjoint import (
     two_party_probabilities,
     validate,
 )
-from spinjoint import povm as povm_module
+from spinjoint import qubit as qubit_module
 from spinjoint.cli import main
 from spinjoint.povm import _probabilities
 from spinjoint.qubit import _bloch_rows
@@ -369,17 +374,25 @@ def test_completeness_defect_equals_dense_oracle_bit_for_bit():
 
 
 def test_package_paths_make_no_operator_matrices(monkeypatch, capsys):
+    # _sigma is patched where it is defined and in every package module
+    # that imports it, so neither effect nor state matrices go unseen
     made = []
-    sigma = povm_module._sigma
-    monkeypatch.setattr(povm_module, "_sigma", lambda *r: made.append(r) or sigma(*r))
+    sigma = qubit_module._sigma
+    for name, module in list(sys.modules.items()):
+        if name.startswith("spinjoint") and getattr(module, "_sigma", None) is sigma:
+            monkeypatch.setattr(module, "_sigma", lambda *r: made.append(r) or sigma(*r))
     rng = np.random.default_rng(53)
     spec = random_admissible_spec(rng)
     settings = optimal_settings(spec)
     povm = general_joint_povm(spec)
-    state = random_state(rng)
+    state = state_from_bloch(random_bloch_in_ball(rng))
     stream = SeededStream(7)
     validate(povm)
     outcome_probabilities(povm, state)
+    evaluate_all(spec, state)
+    robertson(state, spec.a, spec.a_prime)
+    schroedinger(state, spec.a, spec.a_prime)
+    joint_variances(spec, state)
     born_correlations(spec, settings)
     no_signalling_probe(spec, settings)
     sample_povm(povm, state, 1000, stream)
@@ -392,11 +405,18 @@ def test_package_paths_make_no_operator_matrices(monkeypatch, capsys):
         ["signal", "--n", "1000", "--seed", "1"],
         ["sample", "--n", "1000", "--seed", "1"],
         ["bb84", "--n", "1000", "--seed", "1"],
+        ["uncertainty", "--samples", "5"],
     ):
         assert main(argv) == 0
     assert made == []
-    list(povm)  # asking for the effects is what makes their matrices
+    # asking for a state's rho or a POVM's effects is what makes their
+    # matrices, once each
+    state.rho
     assert len(made) == 1
+    state.rho
+    assert len(made) == 1
+    list(povm)
+    assert len(made) == 2
 
 
 def test_povm_contract():

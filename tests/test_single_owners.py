@@ -14,27 +14,30 @@ lookup), the generator's name is spelled only in ``sampling.py``,
 "+"/"-" labels are read only by ``joint.outcome_values``, ``chsh --n``
 and ``signal`` share one two-analyzer run, and the measurement-plane
 normal a x a' is computed only in ``uncertainty._plane_normal``, which
-only the uncertainty kernel ``uncertainty._relations`` calls.
+only the uncertainty kernel ``uncertainty._relations`` calls.  That
+kernel has one call shape, (N, 4) state rows first and never ``None``,
+and checks no directions: in ``uncertainty.py`` only ``robertson`` and
+``schroedinger``, whose directions come from the caller, call ``unit3``.
 POVMs are row arrays: package code builds each one from its (k, 4) Pauli
 rows in ``Povm._from_coordinates``, and the checked constructors
 ``Effect(label, op)`` and ``Povm(effects)`` serve only matrices read by
 ``povm_from_json``.  States follow the same split: ``qubit._bloch_rows``
 alone checks the Bloch ball and computes the coordinates of a
-package-built state, the checked matrix constructor ``QubitState(rho)``
-is never called by package code, and only the two checked constructors
-``QubitState.__post_init__`` and ``Effect.__post_init__`` read
-coordinates back from a matrix.  The one two-qubit state the package
-builds, ``correlations.singlet``, is its only call of the checked
-``TwoQubitState(rho4)``.  One-party Born probabilities come from one
+package-built state, a state holds only that row, the checked matrix
+constructor ``QubitState(rho)`` is never called by package code, and
+only the two checked constructors ``QubitState.__init__`` and
+``Effect.__post_init__`` read coordinates back from a matrix.  The one
+two-qubit state the package builds, ``correlations.singlet``, is its only
+call of the checked ``TwoQubitState(rho4)``.  One-party Born probabilities come from one
 kernel over state rows, ``povm._probabilities``, called only by
 ``outcome_probabilities`` (a batch of one) and ``scenarios.bb84_eve``
 (its four cells in one call), so the scenarios build no state object and
 call neither ``state_from_bloch`` nor ``outcome_probabilities``.
-Operators are built from coordinates (``_sigma``) only by
-``Povm.effects``, the one place a POVM's matrices are made, and by
-``QubitState._from_coordinates``, and
-eigenvalues come from coordinates (``_coordinate_eigenvalues``) only in
-``Povm._report`` and ``QubitState.__post_init__``.
+Operators are built from rows only by ``qubit._operators``, the one
+caller of ``_sigma``, which only ``Povm.effects`` and ``QubitState.rho``
+call, on first use, and eigenvalues come from coordinates
+(``_coordinate_eigenvalues``) only in ``Povm._report`` and
+``QubitState.__init__``.
 The theta grid i * pi / (P - 1) is built only in ``joint._theta_grid``,
 called only by ``cli.cmd_scan_theta`` and ``scenarios.min_cloning_gap``,
 which go over the grid as arrays: ``cmd_scan_theta`` builds no
@@ -70,9 +73,10 @@ OWNERS = {
 LABEL_DECODER = ("joint.py", "outcome_values")
 MATRIX_EFFECTS = ("povm.py", "povm_from_json")
 BALL_CHECK = ("qubit.py", "_bloch_rows")
-MATRIX_READERS = {("qubit.py", "QubitState.__post_init__"), ("povm.py", "Effect.__post_init__")}
-SIGMA_CALLERS = {("povm.py", "Povm.effects"), ("qubit.py", "QubitState._from_coordinates")}
-EIGENVALUE_CALLERS = {("povm.py", "Povm._report"), ("qubit.py", "QubitState.__post_init__")}
+MATRIX_READERS = {("qubit.py", "QubitState.__init__"), ("povm.py", "Effect.__post_init__")}
+SIGMA_CALLERS = {("qubit.py", "_operators")}
+OPERATOR_CALLERS = {("povm.py", "Povm.effects"), ("qubit.py", "QubitState.rho")}
+EIGENVALUE_CALLERS = {("povm.py", "Povm._report"), ("qubit.py", "QubitState.__init__")}
 SINGLET = ("correlations.py", "singlet")
 PROBABILITY_CALLERS = {("povm.py", "outcome_probabilities"), ("scenarios.py", "bb84_eve")}
 DRAW_WALK = ("sampling.py", "_block_sum")
@@ -83,6 +87,7 @@ SCAN_THETA = ("cli.py", "cmd_scan_theta")
 CLI_MAIN = ("cli.py", "main")
 JSON_WRITER = ("cli.py", "_emit_rows")
 GAP_SCAN = ("scenarios.py", "min_cloning_gap")
+DIRECTION_CHECKS = {("uncertainty.py", "robertson"), ("uncertainty.py", "schroedinger")}
 LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp,
          ast.Lambda, ast.FunctionDef)
 
@@ -191,6 +196,7 @@ def test_matrix_effects_only_from_json():
 
 def test_operators_and_eigenvalues_from_coordinates_in_one_place():
     assert set(_calls("_sigma")) == SIGMA_CALLERS
+    assert set(_calls("_operators")) == OPERATOR_CALLERS
     assert set(_calls("_coordinate_eigenvalues")) == EIGENVALUE_CALLERS
 
 
@@ -241,6 +247,14 @@ def test_theta_grid_is_one_batch():
 
 def test_plane_normal_has_one_caller():
     assert _calls("_plane_normal") == [("uncertainty.py", "_relations")]
+
+
+def test_uncertainty_kernel_has_one_call_shape():
+    assert {call for call in _calls("unit3") if call[0] == "uncertainty.py"} == DIRECTION_CHECKS
+    calls = [node for _, _, node in _nodes()
+             if isinstance(node, ast.Call) and _name(node.func) == "_relations"]
+    assert calls  # the rule has something to check
+    assert all(node.args and not isinstance(node.args[0], ast.Constant) for node in calls)
 
 
 def test_cli_commands_take_only_their_flags():

@@ -281,9 +281,9 @@ def test_kernel_rows_equal_batches_of_one():
     for _ in range(20):
         spec = random_admissible_spec(rng, min_sin=1e-2)
         states = [random_state(rng) if k % 2 else random_pure_state(rng) for k in range(50)]
-        m = np.array([state.bloch_vector for state in states])
-        table = _relations(m, spec)
-        bare = _relations(m, a=spec.a, a_prime=spec.a_prime)
+        rows = np.array([state._pauli for state in states])
+        table = _relations(rows, spec.a, spec.a_prime, spec)
+        bare = _relations(rows, spec.a, spec.a_prime)
         for k, state in enumerate(states):
             reports = evaluate_all(spec, state) + [
                 robertson(state, spec.a, spec.a_prime), schroedinger(state, spec.a, spec.a_prime)
