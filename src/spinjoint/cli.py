@@ -57,7 +57,7 @@ from .sampling import (
     signalling_experiment,
 )
 from .scenarios import CLONER_ETA_MAX, bb84_eve, cloning_joint, min_cloning_gap
-from .uncertainty import RELATION_IDS, _product_forms, _relations, product_form
+from .uncertainty import RELATION_IDS, _product_forms, _relations
 
 
 def _vector(text: str) -> np.ndarray:
@@ -302,8 +302,7 @@ def cmd_signal(args) -> int:
 def _random_bloch(u: np.ndarray) -> np.ndarray:
     """Bloch vectors uniform in the unit ball, one row per three uniforms."""
     u1, u2, u3 = u.reshape(-1, 3).T
-    # Python's float power: numpy's cube roots round differently and would move the CSV
-    r = np.array([t ** (1.0 / 3.0) for t in u1.tolist()])
+    r = np.float_power(u1, 1.0 / 3.0)  # libm pow per element, as Python's ** does it
     cos_t = 2.0 * u2 - 1.0
     sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos_t * cos_t))
     phi = 2.0 * math.pi * u3
@@ -312,7 +311,8 @@ def _random_bloch(u: np.ndarray) -> np.ndarray:
 
 def cmd_uncertainty(args) -> int:
     spec = _resolve_spec(args)
-    product_form(spec)  # the library's sharpness check (ZeroAlpha), before any draw
+    # every refusal of the spec, made on the maximally mixed state's row before any draw
+    _relations(_bloch_rows(np.zeros((1, 3))), spec.a, spec.a_prime, spec)
     u = SeededStream(args.seed).uniforms(0, 3 * args.samples)
     table = _relations(_bloch_rows(_random_bloch(u)), spec.a, spec.a_prime, spec)
     lhs = np.column_stack([table[r][0] for r in RELATION_IDS])

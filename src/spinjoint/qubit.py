@@ -23,9 +23,9 @@ from .errors import BlochOutOfBall, InvalidState, NotUnit
 # (validity, clamping, admissibility, saturation, CHSH and slack checks).
 ATOL = 1e-12
 TOL = 1e-10
-# A choice of axis, not a rounding allowance: JointSpec.from_angle leaves
-# the x axis for z once |a.x| exceeds this.
-REFERENCE_AXIS_COS = 1.0 - 1e-9
+# A choice of axis, not a rounding allowance: JointSpec.from_angle leaves the
+# x axis for z once |a.x| exceeds this; below, |x - (x.a) a| >= 0.04 keeps |a'| = 1.
+REFERENCE_AXIS_COS = 1.0 - 1e-3
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)

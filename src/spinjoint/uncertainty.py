@@ -18,12 +18,12 @@ translation of the 2 sqrt(2) correlation ceiling and admits al = al' = 1.
 
 One kernel, ``_relations``, writes each formula once over the (N, 4) Pauli
 rows (t, m) of a batch of states, for unit directions a and a' that the
-caller checked: only ``robertson`` and ``schroedinger`` take theirs
-unchecked.  It computes a_perp, sin(theta) and cos(theta) once per call,
-and the sharpness squares and the admissibility decision once per spec.
-The public functions and ``evaluate_all`` are batches of one.  The two
-state-independent relations come from ``_product_forms``, run per spec by
-``_spec_product_forms`` and on a whole grid of angles by ``scan-theta``.
+caller checked (only ``robertson`` and ``schroedinger`` take theirs
+unchecked).  Its spec half makes every refusal before it reads a row, in
+this order: the product forms (ZeroAlpha), a_perp (CollinearDirections),
+then the admissibility decision (BoundViolated).  The public functions and
+``evaluate_all`` are batches of one; ``_product_forms`` also runs per spec
+(``_spec_product_forms``) and on a whole grid of angles (``scan-theta``).
 """
 
 from __future__ import annotations
@@ -79,12 +79,14 @@ def _relations(rows, a, a_prime, spec: JointSpec | None = None) -> dict:
     ``rows``, for checked unit directions: the bare relations (robertson,
     schroedinger), and with ``spec``, whose directions they are, all six."""
     table = {} if spec is None else _spec_product_forms(spec, len(rows))
-    m = rows[:, 1:]
     cos_t = float(a @ a_prime)
     normal = _plane_normal(a, a_prime)
     sin_t = float(_length(normal))
     if sin_t < ATOL:
         raise CollinearDirections("a and a_prime are (anti)parallel")
+    if spec is not None:
+        require_admissible(spec)
+    m = rows[:, 1:]  # every refusal of the spec is made before a row is read
     ea, eap = np.vecdot(m, a), np.vecdot(m, a_prime)
     perp = np.vecdot(m, normal / sin_t)  # <a_perp.sigma>
     bare = (1.0 - ea * ea) * (1.0 - eap * eap)
@@ -92,7 +94,6 @@ def _relations(rows, a, a_prime, spec: JointSpec | None = None) -> dict:
     table["robertson"] = (bare, commutator)
     table["schroedinger"] = (bare, commutator + _squares(cos_t - ea * eap))
     if spec is not None:
-        require_admissible(spec)
         x, y = spec.alpha**2, spec.alpha_prime**2
         with np.errstate(over="ignore"):  # a subnormal alpha^2 alpha'^2 gives an inf lhs
             joint = _joint_variance(x, ea) * _joint_variance(y, eap) / (x * y)

@@ -200,7 +200,8 @@ CLI_MANIFEST = {
         ["uncertainty", "--a", "0.3,0.2,1", "--a-prime", "1,-0.4,0.1", "--seed", "0",
          "--samples", "500"],
         0, "73cd5d3a22fabd163d406f6ceb51cac7c0e5221775330cfcfbbd68aefd05bd38", True),
-    # moves if the squares are taken with numpy instead of Python's power
+    # moves if the squares are taken as v * v or np.square; np.float_power
+    # calls libm pow per element, as Python's ** does, and keeps it
     "uncertainty-csv-vectors-7-1": (
         ["uncertainty", "--a", "0.3,0.2,1", "--a-prime", "1,-0.4,0.1", "--seed", "7",
          "--samples", "1"],
@@ -215,10 +216,27 @@ CLI_MANIFEST = {
         0, "b7e0ad87e49125c105175aead761f9a22599eb8b55733ab48678ca3ca8b8af66", True),
 }
 
+# Many-row output, recorded while the uncertainty powers were still Python
+# loops: 25001 samples are 75003 stream words and 25001 rows, more than one
+# 2^16-word block and one 2^14-row block and a multiple of neither.  Kept out
+# of CLI_MANIFEST, whose entries test_in_process_calls_are_independent runs
+# twice more, so each of these runs once.
+MANY_ROW_MANIFEST = {
+    "uncertainty-25001-csv": (
+        ["uncertainty", "--samples", "25001"],
+        0, "58125adebd3adb9d0dc404a19091a6316ca58791b5e7bc8bb50c6f20f6f5693c", True),
+    "uncertainty-25001-json": (
+        ["uncertainty", "--samples", "25001", "--format", "json"],
+        0, "2e70a64a910997ab93fc4f170b3c3a6a42731e7efb7ab147ee2a111cb2ead82f", True),
+    "scan-theta-40001-csv": (
+        ["scan-theta", "--points", "40001"],
+        0, "e53aeb5e35b3179f0dc28c2213036c80cf7c257e39f5b0294e67277726ac898a", True),
+}
 
-def check_entry(name):
+
+def check_entry(name, manifest=CLI_MANIFEST):
     """Run one entry's argv in this process and compare it with the manifest."""
-    argv, exit_code, digest, stderr_empty = CLI_MANIFEST[name]
+    argv, exit_code, digest, stderr_empty = manifest[name]
     out, err = io.StringIO(), io.StringIO()
     warns = pytest.warns(RuntimeWarning) if stderr_empty is None else contextlib.nullcontext()
     with warns, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -17,6 +17,13 @@ as exact rationals (``fractions.Fraction``): the admissibility verdict is
 then a polynomial test, and the eigenvalues need only one square root,
 taken to 50 digits with ``decimal``.
 
+``exact_probabilities`` is the Born table of the float rows of a POVM and
+of some states as exact rationals, before any rounding or clamping.
+
+``python_squares`` and ``python_random_bloch`` keep the element-by-element
+Python power loops that ``joint._squares`` and ``cli._random_bloch`` once
+ran, as the oracle for their ``np.float_power`` calls.
+
 ``scan_theta_rows`` and ``min_cloning_gap_per_point`` keep the per-point
 route that ``scan-theta`` and ``min_cloning_gap`` once took (a
 ``JointSpec.from_angle`` and a ``product_form`` call per angle, ``min``
@@ -186,6 +193,15 @@ def exact_eigenvalues(spec, digits=50):
         )
 
 
+def exact_probabilities(povm, rows):
+    """Born table (t_j s_i + r_j.m_i)/2 of the effects (t_j + r_j.sigma)/2 on
+    the (N, 4) state rows (s_i, m_i), in Fractions of their own floats: what
+    ``povm._probabilities`` rounds, before it clamps."""
+    effects = [[Fraction(x) for x in row] for row in povm._pauli.tolist()]
+    return [[sum(e * Fraction(x) for e, x in zip(effect, state)) / 2 for effect in effects]
+            for state in rows.tolist()]
+
+
 def dense_outcome_probabilities(povm, state):
     """Re tr(effect rho) per effect."""
     return np.array([np.trace(e.op @ state.rho).real for e in povm.effects])
@@ -225,3 +241,19 @@ def min_cloning_gap_per_point(eta, points=181):
     """The first smallest-gap scenario among one cloning_joint per grid angle."""
     scenarios = [cloning_joint(i * math.pi / (points - 1), eta) for i in range(points)]
     return min(scenarios, key=lambda s: s.gap)
+
+
+def python_squares(v):
+    """v**2 by Python's float power, one element at a time."""
+    return np.array([t**2 for t in v.tolist()])
+
+
+def python_random_bloch(u):
+    """Bloch vectors uniform in the unit ball, one row per three uniforms,
+    with the radii by Python's float power, one element at a time."""
+    u1, u2, u3 = u.reshape(-1, 3).T
+    r = np.array([t ** (1.0 / 3.0) for t in u1.tolist()])
+    cos_t = 2.0 * u2 - 1.0
+    sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos_t * cos_t))
+    phi = 2.0 * math.pi * u3
+    return r[:, None] * np.column_stack([sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t])

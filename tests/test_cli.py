@@ -14,9 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from golden import CLI_MANIFEST, check_entry
+from golden import CLI_MANIFEST, MANY_ROW_MANIFEST, check_entry
 from helpers import scan_theta_rows
-from spinjoint import cli, validate
+from spinjoint import cli, sampling, validate
 from spinjoint.cli import main
 
 SQ2 = math.sqrt(2.0)
@@ -158,17 +158,62 @@ def _must_not_run(*args):
     raise AssertionError("the command ran before --out was checked")
 
 
-@pytest.mark.parametrize("alpha", ["0", "1e-160", "1e-200"])
-def test_vanishing_sharpness_is_refused_before_any_draw(capsys, monkeypatch, alpha):
-    # alpha^2 alpha'^2 is 0: the library's ZeroAlpha becomes the usage error
-    monkeypatch.setattr(cli, "SeededStream", _must_not_run)
-    with pytest.raises(SystemExit) as excinfo:
-        main(["uncertainty", "--alpha", alpha, "--alpha-prime", alpha])
+def _no_draw(*args):
+    raise AssertionError("a stream word was read")
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    # every stream word of the package is read through SeededStream._reader
+    monkeypatch.setattr(sampling.SeededStream, "_reader", _no_draw)
+
+
+def test_no_draws_fixture_catches_a_draw(no_draws):
+    with pytest.raises(AssertionError, match="a stream word was read"):
+        main(["uncertainty", "--samples", "1"])
+
+
+BOUND_VIOLATED = ("error: BoundViolated: effect eigenvalue -0.10355339059327379 < 0: "
+                  "sharpness bound exceeded (diagonal sum 2.82842712474619 > 2)\n")
+COLLINEAR = "error: CollinearDirections: a and a_prime are (anti)parallel\n"
+ZERO_ALPHA = (TOP_USAGE + "spinjoint: error: the relations divide by alpha^2 alpha'^2, "
+              "which is 0 here\n")
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        # alpha^2 alpha'^2 is 0: the library's ZeroAlpha becomes the usage error
+        *(pytest.param(["uncertainty", "--alpha", alpha, "--alpha-prime", alpha], 2, ZERO_ALPHA,
+                       id=alpha) for alpha in ("0", "1e-160", "1e-200")),
+        pytest.param(["uncertainty", "--theta-deg", "0"], 1, COLLINEAR, id="collinear"),
+        pytest.param(["uncertainty", "--alpha", "1", "--alpha-prime", "1"], 1, BOUND_VIOLATED,
+                     id="inadmissible"),
+        # ZeroAlpha comes first (a collinear spec is never inadmissible, |alpha| <= 1,
+        # so CollinearDirections and BoundViolated never meet)
+        pytest.param(["uncertainty", "--theta-deg", "0", "--alpha", "0"], 2, ZERO_ALPHA,
+                     id="zero-alpha-and-collinear"),
+        # the Monte Carlo commands, as guards
+        pytest.param(["sample", "--alpha", "1", "--alpha-prime", "1", "--n", "10", "--seed", "1"],
+                     1, BOUND_VIOLATED, id="sample-inadmissible"),
+        pytest.param(["signal", "--alpha", "1", "--alpha-prime", "1", "--n", "10", "--seed", "1"],
+                     1, BOUND_VIOLATED, id="signal-inadmissible"),
+        pytest.param(["chsh", "--alpha", "1", "--alpha-prime", "1", "--n", "10"],
+                     1, BOUND_VIOLATED, id="chsh-n-inadmissible"),
+    ],
+)
+def test_vanishing_sharpness_is_refused_before_any_draw(capsys, monkeypatch, no_draws,
+                                                        argv, code, err):
+    # and every other refusal of a spec: no stream word is read
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
     out = capsys.readouterr()
-    assert excinfo.value.code == 2
+    assert got == code
     assert out.out == ""
-    assert out.err.startswith("usage: spinjoint")
-    assert "alpha^2 alpha'^2" in out.err
+    assert out.err == err
 
 
 @pytest.mark.parametrize(
@@ -398,6 +443,11 @@ def test_cli_manifest(name):
 )
 def test_monte_carlo_stdout_is_byte_identical(name):
     check_entry(name)
+
+
+@pytest.mark.parametrize("name", sorted(MANY_ROW_MANIFEST))
+def test_many_row_stdout_is_byte_identical(name):
+    check_entry(name, MANY_ROW_MANIFEST)
 
 
 def test_in_process_calls_are_independent():

@@ -1,7 +1,9 @@
 import contextlib
 import io
 import math
+import warnings
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from helpers import (
     dense_admissibility,
     exact_admissible,
     exact_eigenvalues,
+    exact_probabilities,
     pauli_dot,
     random_admissible_spec,
     random_direction_pair,
@@ -54,6 +57,8 @@ from spinjoint import (
 )
 from spinjoint import cli, joint
 from spinjoint.joint import _decide, require_admissible
+from spinjoint.povm import _probabilities
+from spinjoint.qubit import _bloch_rows
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -257,6 +262,71 @@ def test_admissibility_decision_matches_exact_arithmetic(spec):
     assert is_admissible(spec) == exact
 
 
+# allowance of a Born entry against the exact value of the same float rows:
+# 0.5 (t s + r.m) is a dot product of four terms whose sizes sum to at most 2
+BORN_ERROR = 4 * np.finfo(float).eps
+
+
+def _unit_rows(draw, k):
+    rows = draw(st.lists(st.tuples(coords, coords, coords)
+                         .filter(lambda v: np.linalg.norm(v) > 1e-3), min_size=k, max_size=k))
+    return np.array(rows) / np.linalg.norm(rows, axis=1)[:, None]
+
+
+@st.composite
+def born_cases(draw):
+    """A POVM, the general family just below alpha_max(theta), the saturating
+    family at alpha_max(theta) or a sharp one, and ``_bloch_rows`` rows of
+    states inside the ball and on the sphere."""
+    theta = draw(st.floats(0.01, math.pi - 0.01))
+    alpha = max_symmetric_alpha(theta)
+    a = _unit_rows(draw, 1)[0]
+    kind = draw(st.sampled_from(("general", "optimal", "projective")))
+    if kind == "general":
+        below = [1.0 - 10.0 ** draw(st.floats(-16.0, -8.0)) for _ in range(2)]
+        povm = general_joint_povm(JointSpec.from_angle(theta, alpha * below[0],
+                                                       alpha * below[1], a))
+    elif kind == "optimal":
+        povm = optimal_joint_povm(JointSpec.from_angle(theta, alpha, alpha, a))
+    else:
+        povm = projective_povm(a)
+    sphere = _unit_rows(draw, 4)
+    radii = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4)))
+    return povm, _bloch_rows(np.concatenate([sphere * radii[:, None], sphere]))
+
+
+@given(born_cases())
+@settings(deadline=None, max_examples=100)
+def test_born_probabilities_are_within_rounding_of_exact(case):
+    povm, rows = case
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # entries just below 0 are clamped, with a warning
+        probs = _probabilities(povm, rows)
+    assert all("clamped negative probability" in str(w.message) for w in caught)
+    for got_row, exact_row in zip(probs.tolist(), exact_probabilities(povm, rows)):
+        for got, exact in zip(got_row, exact_row):
+            assert got >= 0.0
+            assert abs(Fraction(got) - max(Fraction(0), exact)) <= BORN_ERROR
+
+
+def test_clamped_born_entry_is_negative_in_exact_arithmetic():
+    # sample --theta-deg 180 --bloch 1,0,0: a' = (sin pi, 0, cos pi) leaves the
+    # effect "--" with t = 0 and r = (-6.1e-17, 0, 0), so the exact value of
+    # its float rows is negative too; the clamp is not rounding in the dot product
+    alpha = max_symmetric_alpha(math.pi)
+    povm = general_joint_povm(JointSpec.from_angle(math.pi, alpha, alpha))
+    rows = _bloch_rows(np.array([[1.0, 0.0, 0.0]]))
+    with pytest.warns(RuntimeWarning, match="clamped") as caught:
+        probs = dict(zip(povm.labels, _probabilities(povm, rows)[0].tolist()))
+    exact = dict(zip(povm.labels, exact_probabilities(povm, rows)[0]))
+    assert probs["--"] == 0.0
+    assert exact["--"] < 0
+    assert [str(w.message) for w in caught] == [
+        f"clamped negative probability {float(exact['--'])!r} for outcome '--'"
+    ]
+    assert all(abs(Fraction(probs[k]) - exact[k]) <= BORN_ERROR for k in povm.labels if k != "--")
+
+
 def test_optimal_joint_povm_explicit_matrix():
     spec = JointSpec(X, Z, 1 / SQ2, 1 / SQ2)
     povm = optimal_joint_povm(spec)
@@ -455,6 +525,20 @@ def test_joint_spec_from_angle_on_the_x_axis_turns_toward_z(sign):
         assert float(np.linalg.norm(spec.a_prime)) == pytest.approx(1.0, abs=1e-15)
         assert spec.a_prime[1] == 0.0
         assert spec.a_prime[2] == math.sin(theta)
+
+
+def test_joint_spec_from_angle_near_the_x_axis_is_a_unit_pair():
+    # a within 1e-9 ... 1 of +-x, where x - (x.a) a is short: a' must still be
+    # a unit vector within ATOL, or JointSpec refuses it (a 10^5-case run of
+    # this draw reads at most 25 eps)
+    rng = np.random.default_rng(1996)
+    for _ in range(5000):
+        tilt = rng.uniform(-1.0, 1.0, 2) * 10.0 ** rng.uniform(-9.0, 0.0)
+        v = np.array([rng.choice([-1.0, 1.0]), *tilt])
+        theta = rng.uniform(0.0, math.pi)
+        spec = JointSpec.from_angle(theta, 0.3, 0.4, a=v / np.linalg.norm(v))
+        assert abs(float(np.linalg.norm(spec.a_prime)) - 1.0) <= 64 * np.finfo(float).eps
+        assert float(spec.a @ spec.a_prime) == pytest.approx(math.cos(theta), abs=1e-13)
 
 
 def test_switch_realization_refuses_a_non_probability():

@@ -18,6 +18,9 @@ only the uncertainty kernel ``uncertainty._relations`` calls.  That
 kernel has one call shape, (N, 4) state rows first and never ``None``,
 and checks no directions: in ``uncertainty.py`` only ``robertson`` and
 ``schroedinger``, whose directions come from the caller, call ``unit3``.
+Powers of arrays are taken by libm pow per element through
+``np.float_power``, only in ``joint._squares`` and ``cli._random_bloch``,
+and no comprehension raises its own variable to a power.
 POVMs are row arrays: package code builds each one from its (k, 4) Pauli
 rows in ``Povm._from_coordinates``, and the checked constructors
 ``Effect(label, op)`` and ``Povm(effects)`` serve only matrices read by
@@ -88,6 +91,8 @@ CLI_MAIN = ("cli.py", "main")
 JSON_WRITER = ("cli.py", "_emit_rows")
 GAP_SCAN = ("scenarios.py", "min_cloning_gap")
 DIRECTION_CHECKS = {("uncertainty.py", "robertson"), ("uncertainty.py", "schroedinger")}
+POWER_CALLERS = {("joint.py", "_squares"), ("cli.py", "_random_bloch")}
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
 LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp,
          ast.Lambda, ast.FunctionDef)
 
@@ -255,6 +260,21 @@ def test_uncertainty_kernel_has_one_call_shape():
              if isinstance(node, ast.Call) and _name(node.func) == "_relations"]
     assert calls  # the rule has something to check
     assert all(node.args and not isinstance(node.args[0], ast.Constant) for node in calls)
+
+
+def test_powers_are_taken_per_array():
+    assert {(path, func) for path, func, node in _nodes()
+            if _name(node) == "float_power"} == POWER_CALLERS
+    # a power of a comprehension's own variable is a per-element Python loop
+    looped = []
+    for path, func, node in _nodes():
+        if isinstance(node, COMPREHENSIONS):
+            bound = {n.id for gen in node.generators for n in ast.walk(gen.target)
+                     if isinstance(n, ast.Name)}
+            looped += [f"{path}:{power.lineno} in {func}" for power in ast.walk(node)
+                       if isinstance(power, ast.BinOp) and isinstance(power.op, ast.Pow)
+                       and bound & {n.id for n in ast.walk(power) if isinstance(n, ast.Name)}]
+    assert looped == []
 
 
 def test_cli_commands_take_only_their_flags():

@@ -7,6 +7,8 @@ import pytest
 from golden import CLI_MANIFEST, check_entry
 from helpers import (
     pauli_dot,
+    python_random_bloch,
+    python_squares,
     random_admissible_spec,
     random_direction_pair,
     random_pure_state,
@@ -29,7 +31,9 @@ from spinjoint import (
     state_from_bloch,
     total_joint,
 )
-from spinjoint.cli import main
+from spinjoint.cli import _random_bloch, main
+from spinjoint.joint import _squares
+from spinjoint.sampling import SeededStream
 from spinjoint.uncertainty import _plane_normal, _relations
 
 X = np.array([1.0, 0.0, 0.0])
@@ -106,6 +110,32 @@ def test_joint_relations_reject_inadmissible_spec(relation):
     with pytest.raises(BoundViolated) as excinfo:
         relation(spec, MIXED)
     assert excinfo.value.min_eigenvalue < 0.0
+
+
+class _UnreadRows:
+    """State rows of known length whose every read fails."""
+
+    def __len__(self):
+        return 3
+
+    def __getitem__(self, key):
+        raise AssertionError("a state row was read")
+
+
+@pytest.mark.parametrize(
+    "spec, error",
+    [
+        (JointSpec(X, Z, 0.0, 0.5), ZeroAlpha),
+        (JointSpec(Z, -Z, 0.5, 0.5), CollinearDirections),
+        (JointSpec(X, Z, 1.0, 1.0), BoundViolated),
+        (JointSpec(Z, Z, 0.0, 0.0), ZeroAlpha),  # collinear too: ZeroAlpha comes first
+        (JointSpec(X, Z, 0.5, 0.5), AssertionError),  # admissible: the rows are read
+    ],
+    ids=["zero-alpha", "collinear", "inadmissible", "zero-alpha-and-collinear", "admissible"],
+)
+def test_kernel_refuses_a_spec_before_reading_a_row(spec, error):
+    with pytest.raises(error):
+        _relations(_UnreadRows(), spec.a, spec.a_prime, spec)
 
 
 def test_robertson_examples():
@@ -308,6 +338,26 @@ def test_plane_normal_is_np_cross_bit_for_bit():
             pairs.append((np.array(a), np.array(b)))
     for a, b in pairs:
         assert _plane_normal(a, b).tobytes() == np.cross(a, b).tobytes()
+
+
+# zeros of both signs, the smallest subnormal, an underflowing square, 1 and
+# the largest double below 1
+POWER_EDGES = [-0.0, 0.0, 5e-324, 1e-200, 1.0, 1.0 - 2.0**-53]
+
+
+def test_powers_round_as_python_float_power():
+    # np.float_power calls libm pow per element, as Python's ** does: the
+    # squares and the radii equal the element-by-element loops bit for bit,
+    # where v * v differs on about 0.1% of squares and np.cbrt on about 12%
+    # of cube roots
+    rng = np.random.default_rng(22)
+    edges = np.array(POWER_EDGES)
+    v = np.concatenate([rng.standard_normal(10**5), rng.uniform(-2.0, 2.0, 10**5),
+                        edges, -edges])
+    assert _squares(v).tobytes() == python_squares(v).tobytes()
+    assert _squares(v[:1]).tobytes() == python_squares(v[:1]).tobytes()
+    u = np.concatenate([SeededStream(22).uniforms(0, 3 * 10**5), edges.repeat(3)])
+    assert _random_bloch(u).tobytes() == python_random_bloch(u).tobytes()
 
 
 @pytest.mark.parametrize(
