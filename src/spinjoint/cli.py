@@ -39,6 +39,7 @@ from .errors import BoundViolated, SpinJointError, ZeroAlpha
 from .joint import (
     JointSpec,
     _check_sharpness,
+    _product_forms,
     _squares,
     _theta_grid,
     bound_lhs,
@@ -57,7 +58,7 @@ from .sampling import (
     signalling_experiment,
 )
 from .scenarios import CLONER_ETA_MAX, bb84_eve, cloning_joint, min_cloning_gap
-from .uncertainty import RELATION_IDS, _product_forms, _relations
+from .uncertainty import RELATION_IDS, _relations, _spec_relations
 
 
 def _vector(text: str) -> np.ndarray:
@@ -311,8 +312,7 @@ def _random_bloch(u: np.ndarray) -> np.ndarray:
 
 def cmd_uncertainty(args) -> int:
     spec = _resolve_spec(args)
-    # every refusal of the spec, made on the maximally mixed state's row before any draw
-    _relations(_bloch_rows(np.zeros((1, 3))), spec.a, spec.a_prime, spec)
+    _spec_relations(spec)  # every refusal of the spec, before any draw
     u = SeededStream(args.seed).uniforms(0, 3 * args.samples)
     table = _relations(_bloch_rows(_random_bloch(u)), spec.a, spec.a_prime, spec)
     lhs = np.column_stack([table[r][0] for r in RELATION_IDS])

@@ -5,9 +5,12 @@ A ``Povm`` is an ordered, uniquely labelled set of outcome operators
 (t, r).  POVMs the package builds start from the rows, with no checks.
 A user-supplied matrix (``Effect(label, op)``, used by ``povm_from_json``)
 is kept as given after the full checks (shape, finite entries,
-Hermiticity), and its row is read from it once.  ``povm.effects`` yields
-one ``Effect`` per outcome; a package-built POVM makes their matrices
-from the rows only when asked (iteration, ``effect(label)``, JSON).
+Hermiticity), and its row is read from the same one read of its entries.
+``povm.effects`` yields one ``Effect`` per outcome; a package-built POVM
+makes their matrices from the rows only when asked (iteration,
+``effect(label)``, JSON).  ``povm_to_json`` writes the bytes that
+``json.dumps(doc, indent=2)`` would, directly, without json's pure-Python
+encoder.
 Construction checks only structure, so defective candidates can be built
 and inspected; ``validate`` reports positivity and completeness from the
 rows, once per POVM object, and the Born-rule evaluators refuse POVMs
@@ -18,10 +21,12 @@ matrix; ``outcome_probabilities`` is its batch of one.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import json
 import warnings
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -50,11 +55,12 @@ class Effect:
         m = np.array(self.op, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError(f"effect operator must be 2x2, got {m.shape}")
-        if not np.all(np.isfinite(m)):
+        entries = m.reshape(4).tolist()  # read once, as Python complex numbers
+        if not all(map(cmath.isfinite, entries)):
             raise ValueError("effect operator entries must be finite")
         if not is_hermitian(m):
             raise NotHermitian(f"effect {self.label!r} is not Hermitian")
-        _freeze(self, op=m, _pauli=_pauli_coordinates(m))  # op = (t + r.sigma)/2
+        _freeze(self, op=m, _pauli=_pauli_coordinates(entries))  # op = (t + r.sigma)/2
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -211,16 +217,28 @@ def two_party_probabilities(
     return 0.25 * (povm1._pauli @ state._pauli @ povm2._pauli.T)
 
 
+# One effect of povm_to_json's document, laid out as json.dumps(indent=2) does.
+_EFFECT_JSON = ('    {\n      "label": %s,\n      "op": [\n'
+                + ",\n".join(["        [\n          %r,\n          %r\n        ]"] * 4)
+                + "\n      ]\n    }")
+
+
 def povm_to_json(povm: Povm) -> str:
     """Serialize as a JSON document; complex entries become [re, im] pairs.
 
-    Round-trips bit-exactly at double precision.
+    The text is json.dumps({"effects": [{"label": ..., "op": ...}, ...]},
+    indent=2) byte for byte, written directly: the entries are finite, so
+    float.__repr__ is json's own float text, and a str label is escaped by
+    json's own encode_basestring_ascii.  Round-trips bit-exactly at double
+    precision.
     """
     effects = []
     for e in povm.effects:
-        flat = [[z.real, z.imag] for z in e.op.reshape(-1)]
-        effects.append({"label": e.label, "op": flat})
-    return json.dumps({"effects": effects}, indent=2)
+        label = e.label
+        text = encode_basestring_ascii(label) if isinstance(label, str) else json.dumps(label)
+        flat = [x for z in e.op.reshape(4).tolist() for x in (z.real, z.imag)]
+        effects.append(_EFFECT_JSON % (text, *flat))
+    return '{\n  "effects": [\n' + ",\n".join(effects) + "\n  ]\n}"
 
 
 def povm_from_json(text: str) -> Povm:

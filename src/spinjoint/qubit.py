@@ -78,14 +78,17 @@ def _operators(rows) -> np.ndarray:
 
 
 def is_hermitian(mat) -> bool:
-    m = np.asarray(mat, dtype=complex)
-    return bool(np.max(np.abs(m - m.conj().T)) <= ATOL)
+    """|m[i][j] - conj(m[j][i])| <= ATOL for every entry of a square matrix,
+    read once as Python complex numbers: nan or inf entries give False."""
+    m = np.asarray(mat, dtype=complex).tolist()
+    return all(abs(x - y.conjugate()) <= ATOL for row, col in zip(m, zip(*m))
+               for x, y in zip(row, col))
 
 
-def _pauli_coordinates(mat) -> np.ndarray:
-    """(t, r) = Re tr(sigma_mu m) of a 2x2 matrix: m = (t + r.sigma)/2 for
-    its Hermitian part."""
-    a, b, c, d = np.asarray(mat).reshape(4).tolist()
+def _pauli_coordinates(entries) -> np.ndarray:
+    """(t, r) = Re tr(sigma_mu m) of a 2x2 matrix m from its entries
+    (m00, m01, m10, m11): m = (t + r.sigma)/2 for its Hermitian part."""
+    a, b, c, d = entries
     return np.array([(a + d).real, (b + c).real, (c - b).imag, (a - d).real])
 
 
@@ -137,7 +140,7 @@ class QubitState:
     _pauli: np.ndarray
 
     def __init__(self, rho):
-        coords = _pauli_coordinates(_density_matrix(rho, 2))
+        coords = _pauli_coordinates(_density_matrix(rho, 2).reshape(4).tolist())
         lo, _ = _coordinate_eigenvalues(coords)
         if lo < -ATOL:
             raise InvalidState(f"negative eigenvalue {lo}")

@@ -16,14 +16,18 @@ product_form is state independent and saturates exactly when the
 sharpness bound is saturated; cirelson_product is the analogous
 translation of the 2 sqrt(2) correlation ceiling and admits al = al' = 1.
 
-One kernel, ``_relations``, writes each formula once over the (N, 4) Pauli
-rows (t, m) of a batch of states, for unit directions a and a' that the
-caller checked (only ``robertson`` and ``schroedinger`` take theirs
-unchecked).  Its spec half makes every refusal before it reads a row, in
-this order: the product forms (ZeroAlpha), a_perp (CollinearDirections),
-then the admissibility decision (BoundViolated).  The public functions and
-``evaluate_all`` are batches of one; ``_product_forms`` also runs per spec
-(``_spec_product_forms``) and on a whole grid of angles (``scan-theta``).
+One kernel, ``_relations``, writes the state-dependent formulas once over
+the (N, 4) Pauli rows (t, m) of a batch of states, for unit directions a
+and a' that the caller checked (only ``robertson`` and ``schroedinger``
+take theirs unchecked).  A spec's state-independent half (alpha^2,
+alpha'^2, the plane of a and a', and the two product forms of
+``joint._product_forms``) is made once per spec and kept on it
+(``JointSpec._relation_data``).  ``_spec_relations`` reads it and makes
+every refusal of the spec before any row is read, in this order: the
+product forms (ZeroAlpha), a_perp (CollinearDirections), then the
+admissibility decision (BoundViolated).  The public functions and
+``evaluate_all`` are batches of one; ``_product_forms`` also runs on a
+whole grid of angles (``scan-theta``).
 """
 
 from __future__ import annotations
@@ -32,9 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CollinearDirections, ZeroAlpha
-from .joint import JointSpec, _joint_variance, _squares, require_admissible
-from .qubit import ATOL, QubitState, _length, unit3
+from .errors import CollinearDirections
+from .joint import (JointSpec, _joint_variance, _plane, _SpecRelations, _squares,
+                    require_admissible)
+from .qubit import ATOL, QubitState, unit3
 
 RELATION_IDS = ("product_form", "robertson", "total_joint", "arthurs_goodman",
                 "schroedinger", "cirelson_product")
@@ -48,44 +53,33 @@ class UncertaintyReport:
     slack: float
 
 
-def _plane_normal(a, a_prime) -> np.ndarray:
-    """a x a' of two 3-vectors, written out: the same products and differences
-    as np.cross, in the same order, so the same bits, without its axis handling."""
-    (a1, a2, a3), (b1, b2, b3) = a.tolist(), a_prime.tolist()
-    return np.array([a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1])
+def _require_plane(sin_t: float) -> None:
+    if sin_t < ATOL:
+        raise CollinearDirections("a and a_prime are (anti)parallel")
 
 
-def _product_forms(x, y, cos_t) -> dict:
-    """{relation_id: (lhs, rhs)} of the state-independent relations, over
-    arrays of alpha^2, alpha'^2 and cos(theta): (k - x)(k - y)/(x y) >=
-    sin^2(theta) with k = 1 (product_form) and k = 2 (cirelson_product)."""
-    xy = x * y
-    if not xy.all():  # alpha = 0, or alpha^2 alpha'^2 underflows
-        raise ZeroAlpha("the relations divide by alpha^2 alpha'^2, which is 0 here")
-    sin_sq = np.maximum(0.0, 1.0 - cos_t * cos_t)
-    with np.errstate(over="ignore"):  # a subnormal alpha^2 alpha'^2 gives an inf lhs
-        return {relation_id: ((k - x) * (k - y) / xy, sin_sq)
-                for relation_id, k in (("product_form", 1.0), ("cirelson_product", 2.0))}
-
-
-def _spec_product_forms(spec: JointSpec, n: int = 1) -> dict:
-    """``_product_forms`` of one spec, repeated over a batch of n."""
-    x, y, cos_t = spec.alpha**2, spec.alpha_prime**2, float(spec.a @ spec.a_prime)
-    return _product_forms(*np.array([[x], [y], [cos_t]]).repeat(n, 1))
+def _spec_relations(spec: JointSpec) -> _SpecRelations:
+    """The spec's relation data, after every refusal of the spec, in order:
+    the product forms (ZeroAlpha), a_perp (CollinearDirections), then the
+    admissibility decision (BoundViolated)."""
+    data = spec._relation_data
+    _require_plane(data.sin_t)
+    require_admissible(spec)
+    return data
 
 
 def _relations(rows, a, a_prime, spec: JointSpec | None = None) -> dict:
     """{relation_id: (lhs, rhs)}, one entry per (N, 4) Pauli row (t, m) of
     ``rows``, for checked unit directions: the bare relations (robertson,
     schroedinger), and with ``spec``, whose directions they are, all six."""
-    table = {} if spec is None else _spec_product_forms(spec, len(rows))
-    cos_t = float(a @ a_prime)
-    normal = _plane_normal(a, a_prime)
-    sin_t = float(_length(normal))
-    if sin_t < ATOL:
-        raise CollinearDirections("a and a_prime are (anti)parallel")
-    if spec is not None:
-        require_admissible(spec)
+    if spec is None:
+        table, (cos_t, normal, sin_t) = {}, _plane(a, a_prime)
+        _require_plane(sin_t)
+    else:
+        data = _spec_relations(spec)
+        table = {relation_id: (lhs.repeat(len(rows)), rhs.repeat(len(rows)))
+                 for relation_id, (lhs, rhs) in data.product_forms.items()}
+        cos_t, normal, sin_t = data.cos_t, data.normal, data.sin_t
     m = rows[:, 1:]  # every refusal of the spec is made before a row is read
     ea, eap = np.vecdot(m, a), np.vecdot(m, a_prime)
     perp = np.vecdot(m, normal / sin_t)  # <a_perp.sigma>
@@ -94,7 +88,7 @@ def _relations(rows, a, a_prime, spec: JointSpec | None = None) -> dict:
     table["robertson"] = (bare, commutator)
     table["schroedinger"] = (bare, commutator + _squares(cos_t - ea * eap))
     if spec is not None:
-        x, y = spec.alpha**2, spec.alpha_prime**2
+        x, y = data.alpha_sq, data.alpha_prime_sq
         with np.errstate(over="ignore"):  # a subnormal alpha^2 alpha'^2 gives an inf lhs
             joint = _joint_variance(x, ea) * _joint_variance(y, eap) / (x * y)
         table["total_joint"] = (joint, _squares(sin_t * (1.0 + np.abs(perp))))
@@ -110,7 +104,7 @@ def _report(relation_id: str, table: dict) -> UncertaintyReport:
 def product_form(spec: JointSpec) -> UncertaintyReport:
     """State-independent cost of jointness; slack 0 exactly at saturation
     of the sharpness bound."""
-    return _report("product_form", _spec_product_forms(spec))
+    return _report("product_form", spec._relation_data.product_forms)
 
 
 def robertson(state: QubitState, a, a_prime) -> UncertaintyReport:
@@ -148,7 +142,7 @@ def schroedinger(state: QubitState, a, a_prime) -> UncertaintyReport:
 def cirelson_product(spec: JointSpec) -> UncertaintyReport:
     """Product translation of the 2 sqrt(2) correlation ceiling; places
     no restriction below full sharpness."""
-    return _report("cirelson_product", _spec_product_forms(spec))
+    return _report("cirelson_product", spec._relation_data.product_forms)
 
 
 def evaluate_all(spec: JointSpec, state: QubitState) -> list[UncertaintyReport]:

@@ -24,6 +24,12 @@ of some states as exact rationals, before any rounding or clamping.
 Python power loops that ``joint._squares`` and ``cli._random_bloch`` once
 ran, as the oracle for their ``np.float_power`` calls.
 
+``reference_doc`` is the document ``povm_to_json`` once handed to
+``json.dumps(doc, indent=2)``: the oracle for the text it now writes itself.
+
+``numpy_is_hermitian`` is the Hermiticity test ``qubit.is_hermitian`` once
+made with numpy, max|m - m^H| <= ATOL, as the oracle for its verdict.
+
 ``scan_theta_rows`` and ``min_cloning_gap_per_point`` keep the per-point
 route that ``scan-theta`` and ``min_cloning_gap`` once took (a
 ``JointSpec.from_angle`` and a ``product_form`` call per angle, ``min``
@@ -39,7 +45,7 @@ import numpy as np
 
 from spinjoint import (PAULI_X, PAULI_Y, PAULI_Z, JointSpec, QubitState, cloning_joint,
                        product_form, state_from_bloch)
-from spinjoint.qubit import _sigma, vec3
+from spinjoint.qubit import ATOL, _sigma, vec3
 from spinjoint.scenarios import CLONER_ETA_MAX
 
 
@@ -257,3 +263,20 @@ def python_random_bloch(u):
     sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos_t * cos_t))
     phi = 2.0 * math.pi * u3
     return r[:, None] * np.column_stack([sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t])
+
+
+def reference_doc(povm):
+    """{"effects": [{"label": ..., "op": [[re, im], ...]}, ...]} of a POVM,
+    its matrices read from ``povm.effects``."""
+    effects = []
+    for e in povm.effects:
+        flat = [[z.real, z.imag] for z in e.op.reshape(-1)]
+        effects.append({"label": e.label, "op": flat})
+    return {"effects": effects}
+
+
+def numpy_is_hermitian(mat):
+    """max|m - m^H| <= ATOL over a numpy array (nan and inf give False)."""
+    m = np.asarray(mat, dtype=complex)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        return bool(np.max(np.abs(m - m.conj().T)) <= ATOL)

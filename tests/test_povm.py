@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import json
 import math
 import sys
@@ -23,6 +24,7 @@ from helpers import (
     random_state,
     random_unit,
     reduced_state,
+    reference_doc,
     tensor2,
 )
 from spinjoint import (
@@ -346,6 +348,108 @@ def test_package_built_povm_json_round_trip_is_bit_exact():
             restored = povm_from_json(povm_to_json(povm))
             assert restored.labels == povm.labels
             assert [e.op.tobytes() for e in restored] == [e.op.tobytes() for e in povm]
+
+
+def _seeded_povm(kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "general":
+        return general_joint_povm(random_admissible_spec(rng))
+    if kind == "projective":
+        return projective_povm(random_unit(rng))
+    saturating = random_saturating_spec(rng)
+    if kind == "optimal":
+        return optimal_joint_povm(saturating)
+    return switch_povm(switch_realization(saturating))
+
+
+def _json_labelled_povm():
+    quarter = [[0.25, 0.0], [0.0, 0.0], [0.0, 0.0], [0.25, 0.0]]
+    labels = (5, 2.5, True, None)
+    return povm_from_json(json.dumps({"effects": [{"label": x, "op": quarter} for x in labels]}))
+
+
+GOLDEN_POVMS = {
+    **{f"{kind}-{seed}": functools.partial(_seeded_povm, kind, seed)
+       for kind in ("general", "optimal", "switch", "projective") for seed in (1, 2, 3)},
+    # exact zeros in u, so the rows hold signed zeros
+    **{f"axis{sign:+d}{k}": functools.partial(projective_povm, sign * np.eye(3)[k])
+       for k in range(3) for sign in (1, -1)},
+    "escaped-labels": lambda: Povm(tuple(Effect(x, 0.25 * ID2) for x in ("", 'a"b\\c', "é", "\n"))),
+    "json-labels": _json_labelled_povm,
+    "entries": lambda: Povm((
+        Effect("x", np.array([[-0.0, 0.1 + 5e-324j], [0.1 - 5e-324j, 5e-324]])),
+        Effect("y", np.array([[1e16, -1e-7j], [1e-7j, 123.456]])),
+    )),
+}
+
+# sha256 of povm_to_json's text, recorded while it still called
+# json.dumps(doc, indent=2); a format change shows up as an edit here
+POVM_JSON_MANIFEST = {
+    "axis+10": "5cdb9df473abb59aebee8d1d6d947bd3311c089ff2316024db56b23621ceca0e",
+    "axis+11": "d75b136db7ab8ce5441829811a6c9c6e8317cfad61f4b57592fa6d000c3569d1",
+    "axis+12": "c28b983ffef58aba2346a9cb79e82c267f5055ef88c10f425ff01c3bc11af194",
+    "axis-10": "70670e677481e3f59d57597c64dfbafd6df50d4c661536415552a9c43d5b5a4e",
+    "axis-11": "5f3d77d3b161245135003c22961bf8d387248d6f52fa3fd7ef48a533f975dfca",
+    "axis-12": "09667bc6256e5ed0b28560d437823f574fa0eeb89e8e69810027eda6b13699da",
+    "entries": "9b189066c67d0271f4d86dd03501d9797532b586fd50bf030191b4e750af11de",
+    "escaped-labels": "75c2197dfeec59bbcc4821178a3aee018ab9797f6cbd94be9b32bde907e04d1d",
+    "general-1": "80f6985bdf21ca7d9ba34ffa14257f6f90e19be1be45ea805a00c48446ac76d1",
+    "general-2": "5ed9613d8fad33c5c1b9a6e0dcd05b2dd448212d4e936973346c7fbdf2167d36",
+    "general-3": "874a77a6640c0616eb2b32a5cbc1b6ebe90ac89c1ddfa540526e04a10729e4b3",
+    "json-labels": "ad14160018672c912f2c79871e2a26e07dd964ee71567d49be198f4e53afc526",
+    "optimal-1": "afa7a06a56409e8238f4c4cc63b431b15575d408c4f3792cf97431e65a96af34",
+    "optimal-2": "0e7257a8dbd976df40f71174470ea051e398f945874daf8efbed743c05c9b65f",
+    "optimal-3": "2c88e46fcf68313b2b3bdf93bbf006b0d1bebb946566e17df03a28a25ef30779",
+    "projective-1": "aee961350e532be9b04c77f04a1c1835220b1b6a71aa556488ed182765ddb5df",
+    "projective-2": "271bb54a3b3b7ea1fde6138d7b480bd29d28d57f78e5553e85a6eac4eeefde09",
+    "projective-3": "aadab7b8c97f73faafe3acfeb937f7ef63f4771d270e86691d6f26a0cd2967a9",
+    "switch-1": "be6190f3d208ae27da4e5c884358f05202658ab0bd24f7e5f0907eebc735bbc3",
+    "switch-2": "01df2d2963a23bcded62a068b5ddf61488de16ae5a64ffa706e73378764ebf41",
+    "switch-3": "2c88e46fcf68313b2b3bdf93bbf006b0d1bebb946566e17df03a28a25ef30779",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_POVMS))
+def test_povm_json_text_is_byte_identical(name):
+    povm = GOLDEN_POVMS[name]()
+    text = povm_to_json(povm)
+    assert hashlib.sha256(text.encode()).hexdigest() == POVM_JSON_MANIFEST[name]
+    assert text == json.dumps(reference_doc(povm), indent=2)
+
+
+json_labels = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
+any_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def user_povms(draw):
+    """Hermitian effects with any finite entries and any label a JSON
+    document can carry."""
+    items = draw(st.lists(st.tuples(json_labels, st.tuples(*[any_finite] * 4)),
+                          min_size=1, max_size=4, unique_by=lambda item: item[0]))
+    return Povm(tuple(Effect(label, np.array([[a, b - 1j * c], [b + 1j * c, d]]))
+                      for label, (a, b, c, d) in items))
+
+
+package_povms = st.builds(_seeded_povm, st.sampled_from(("general", "optimal", "switch", "projective")),
+                          st.integers(0, 2**32 - 1))
+
+
+@given(st.one_of(user_povms(), package_povms))
+@settings(deadline=None)
+def test_povm_json_text_is_what_json_dumps_writes(povm):
+    assert povm_to_json(povm) == json.dumps(reference_doc(povm), indent=2)
+
+
+def test_povm_json_does_not_use_the_pure_python_encoder(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("json's pure-Python encoder was called")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    with pytest.raises(AssertionError):  # the patch sees an indented dumps
+        json.dumps({"effects": []}, indent=2)
+    for name in sorted(GOLDEN_POVMS):  # every package-built kind and user POVMs
+        povm_to_json(GOLDEN_POVMS[name]())
 
 
 def _dense_defect(oracle):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import expectation, pauli_dot, reduced_state, tensor2
+from helpers import expectation, numpy_is_hermitian, pauli_dot, reduced_state, tensor2
 from spinjoint import (
     ID2,
     PAULI_X,
@@ -22,7 +22,9 @@ from spinjoint import (
     state_from_bloch,
     validate,
 )
-from spinjoint.qubit import _coordinate_eigenvalues, normalize, unit3
+from spinjoint.correlations import singlet
+from spinjoint.errors import NotHermitian
+from spinjoint.qubit import _coordinate_eigenvalues, is_hermitian, normalize, unit3
 
 coord = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 vector = st.tuples(coord, coord, coord)
@@ -187,3 +189,65 @@ def test_two_qubit_state_validation_and_partial_trace():
     assert np.max(np.abs(reduced_state(product, 2).rho - up_z.rho)) <= 1e-12
     with pytest.raises(InvalidState):
         TwoQubitState(np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex))
+
+
+PERTURBATIONS = [sign * size * unit for sign in (1, -1) for size in (1e-13, 1e-12, 2e-12)
+                 for unit in (1.0, 1j)]
+
+
+def _perturbed(m, diagonal=True):
+    """Copies of m with one entry moved by each of PERTURBATIONS."""
+    n = len(m)
+    for i in range(n):
+        for j in range(n):
+            if i != j or diagonal:
+                for delta in PERTURBATIONS:
+                    out = m.copy()
+                    out[i, j] += delta
+                    yield out
+
+
+def test_hermiticity_verdict_equals_numpy_oracle():
+    rng = np.random.default_rng(59)
+    checked = {True: 0, False: 0}
+    for n in (2, 4):
+        for _ in range(20):
+            g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            for m in (g, 0.5 * (g + g.conj().T)):
+                for candidate in (m, *_perturbed(m)):
+                    verdict = is_hermitian(candidate)
+                    assert verdict is numpy_is_hermitian(candidate)
+                    checked[verdict] += 1
+    assert min(checked.values()) > 1000  # both verdicts are exercised
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.inf, np.nan),
+                                 complex(0.0, np.inf), complex(np.nan, 0.0)])
+def test_hermiticity_of_non_finite_entries_warns_nothing(bad):
+    for n in (2, 4):
+        for i in range(n):
+            for j in range(n):
+                m = np.eye(n, dtype=complex) / n
+                m[i, j] = bad
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert is_hermitian(m) is numpy_is_hermitian(m) is False
+
+
+def test_checked_constructors_decide_hermiticity_as_the_oracle():
+    werner = 0.5 * singlet().rho4 + 0.125 * np.eye(4)
+    cases = (
+        (lambda m: Effect("x", m), 0.5 * ID2 + 0.25 * pauli_dot((0.6, 0.0, 0.8)), NotHermitian),
+        (QubitState, state_from_bloch((0.3, -0.4, 0.2)).rho.copy(), InvalidState),
+        (TwoQubitState, werner, InvalidState),
+    )
+    for build, base, error in cases:
+        refused = 0
+        for m in _perturbed(base, diagonal=False):
+            if numpy_is_hermitian(m):
+                build(m)
+            else:
+                with pytest.raises(error, match="Hermitian"):
+                    build(m)
+                refused += 1
+        assert refused > 0

@@ -13,9 +13,10 @@ mask rather than by itself (``sample_indices`` keeps the public index
 lookup), the generator's name is spelled only in ``sampling.py``,
 "+"/"-" labels are read only by ``joint.outcome_values``, ``chsh --n``
 and ``signal`` share one two-analyzer run, and the measurement-plane
-normal a x a' is computed only in ``uncertainty._plane_normal``, which
-only the uncertainty kernel ``uncertainty._relations`` calls.  That
-kernel has one call shape, (N, 4) state rows first and never ``None``,
+normal a x a' is computed only in ``joint._plane_normal``, which only
+``joint._plane`` calls, for a spec's kept relation data
+(``JointSpec._relation_data``) and for the bare directions of the
+uncertainty kernel ``uncertainty._relations``.  That kernel has one call shape, (N, 4) state rows first and never ``None``,
 and checks no directions: in ``uncertainty.py`` only ``robertson`` and
 ``schroedinger``, whose directions come from the caller, call ``unit3``.
 Powers of arrays are taken by libm pow per element through
@@ -49,10 +50,14 @@ which go over the grid as arrays: ``cmd_scan_theta`` builds no
 Each CLI command is a function of its parsed flags alone: no ``cmd_*``
 takes the parser, a usage error becomes exit 2 only through
 ``parser.error`` in ``cli.main`` (the one caller of ``build_parser`` in
-``cli.py``), indented JSON is written only by ``cli._emit_rows``, and
-``cmd_validate`` takes its admissibility verdict from the one
-``general_joint_povm`` call, never from ``is_admissible`` or
-``require_admissible``."""
+``cli.py``), and ``cmd_validate`` takes its admissibility verdict from the
+one ``general_joint_povm`` call, never from ``is_admissible`` or
+``require_admissible``.
+Indented JSON goes through ``json.dumps(..., indent=...)`` only in
+``cli._emit_rows``: ``povm_to_json`` writes its text itself.  Hermiticity
+is decided only by ``qubit.is_hermitian``, called only by the checked
+constructors' ``Effect.__post_init__`` and ``qubit._density_matrix``, and
+no other function takes a conjugate."""
 
 import ast
 from pathlib import Path
@@ -69,7 +74,7 @@ OWNERS = {
     "searchsorted": ("sampling.py", "sample_indices"),
     "Philox": ("sampling.py", "SeededStream._reader"),
     "SeedSequence": ("sampling.py", "SeededStream._reader"),
-    "cross": ("uncertainty.py", "_plane_normal"),
+    "cross": ("joint.py", "_plane_normal"),
     "arange": ("joint.py", "_theta_grid"),
     "linspace": ("joint.py", "_theta_grid"),
 }
@@ -89,6 +94,9 @@ UNIFORMS_CALLERS = {("cli.py", "cmd_uncertainty")}
 SCAN_THETA = ("cli.py", "cmd_scan_theta")
 CLI_MAIN = ("cli.py", "main")
 JSON_WRITER = ("cli.py", "_emit_rows")
+PLANE_CALLERS = {("joint.py", "JointSpec._relation_data"), ("uncertainty.py", "_relations")}
+HERMITICITY_CALLERS = {("povm.py", "Effect.__post_init__"), ("qubit.py", "_density_matrix")}
+HERMITICITY = ("qubit.py", "is_hermitian")
 GAP_SCAN = ("scenarios.py", "min_cloning_gap")
 DIRECTION_CHECKS = {("uncertainty.py", "robertson"), ("uncertainty.py", "schroedinger")}
 POWER_CALLERS = {("joint.py", "_squares"), ("cli.py", "_random_bloch")}
@@ -251,7 +259,8 @@ def test_theta_grid_is_one_batch():
 
 
 def test_plane_normal_has_one_caller():
-    assert _calls("_plane_normal") == [("uncertainty.py", "_relations")]
+    assert _calls("_plane_normal") == [("joint.py", "_plane")]
+    assert set(_calls("_plane")) == PLANE_CALLERS
 
 
 def test_uncertainty_kernel_has_one_call_shape():
@@ -291,14 +300,21 @@ def test_one_usage_error_exit():
     assert [(path, func) for path, func in _calls("build_parser") if path == "cli.py"] == [CLI_MAIN]
 
 
-def test_one_indented_json_writer_in_the_cli():
+def test_one_indented_json_writer():
     indented = [
         (path, func)
         for path, func, node in _nodes()
-        if path == "cli.py" and isinstance(node, ast.Call) and _name(node.func) == "dumps"
+        if isinstance(node, ast.Call) and _name(node.func) == "dumps"
         and any(keyword.arg == "indent" for keyword in node.keywords)
     ]
     assert indented == [JSON_WRITER]
+
+
+def test_one_hermiticity_decision():
+    assert set(_calls("is_hermitian")) == HERMITICITY_CALLERS
+    conjugates = {(path, func) for path, func, node in _nodes()
+                  if _name(node) in ("conj", "conjugate")}
+    assert conjugates == {HERMITICITY}
 
 
 def test_validate_decides_admissibility_once():

@@ -32,9 +32,10 @@ from spinjoint import (
     total_joint,
 )
 from spinjoint.cli import _random_bloch, main
-from spinjoint.joint import _squares
+from spinjoint import joint as joint_module
+from spinjoint.joint import _plane_normal, _squares
 from spinjoint.sampling import SeededStream
-from spinjoint.uncertainty import _plane_normal, _relations
+from spinjoint.uncertainty import _relations, _spec_relations
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -136,6 +137,27 @@ class _UnreadRows:
 def test_kernel_refuses_a_spec_before_reading_a_row(spec, error):
     with pytest.raises(error):
         _relations(_UnreadRows(), spec.a, spec.a_prime, spec)
+
+
+def test_spec_relation_data_is_made_once_per_spec(monkeypatch, capsys):
+    made = []
+    forms = joint_module._product_forms
+    monkeypatch.setattr(joint_module, "_product_forms", lambda *args: made.append(args) or forms(*args))
+    # the pre-draw refusals and the drawn rows share one evaluation
+    assert main(["uncertainty", "--samples", "5"]) == 0
+    assert len(made) == 1
+    spec = JointSpec(X, Z, 0.5, 0.5)
+    data = _spec_relations(spec)
+    for relation in (evaluate_all, total_joint, arthurs_goodman):
+        relation(spec, MIXED)
+    product_form(spec)
+    cirelson_product(spec)
+    assert len(made) == 2
+    assert spec._relation_data is data
+    # a refused spec keeps nothing, and is refused again on every call
+    for _ in range(2):
+        with pytest.raises(ZeroAlpha):
+            _spec_relations(JointSpec(X, Z, 0.0, 0.5))
 
 
 def test_robertson_examples():
