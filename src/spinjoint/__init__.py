@@ -11,7 +11,6 @@ from .correlations import (
     Settings,
     born_correlations,
     chsh_value,
-    cirelson_check,
     joint_correlations,
     no_signalling_probe,
     optimal_settings,
@@ -39,13 +38,11 @@ from .joint import (
     OUTCOME_LABELS,
     JointSpec,
     SwitchRealization,
-    VarianceReport,
     admissibility_scan,
     bound_lhs,
     general_effect_min_eigenvalues,
     general_joint_povm,
     is_admissible,
-    joint_variances,
     max_symmetric_alpha,
     optimal_joint_povm,
     outcome_values,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +29,8 @@ from .joint import (
     require_admissible,
 )
 from .povm import Povm, projective_povm, two_party_probabilities
-from .qubit import ATOL, TOL, TwoQubitState, _freeze, unit3
+from .qubit import ATOL, TwoQubitState, _freeze, unit3
 
-TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
 @dataclass(frozen=True, eq=False)
 class Settings:
@@ -136,24 +134,6 @@ def born_correlations(spec: JointSpec, settings: Settings) -> CorrelationSet:
 def chsh_value(corr: CorrelationSet) -> float:
     """|E(A_J,B) + E(A'_J,B)| + |E(A_J,B') - E(A'_J,B')|."""
     return abs(corr.e_ab + corr.e_apb) + abs(corr.e_abp - corr.e_apbp)
-
-
-def cirelson_check(corr: CorrelationSet) -> float:
-    """CHSH combination with the quantum ceiling 2 sqrt(2) in mind.
-
-    Any correlation set produced by the strategies in this library stays
-    at or below 2 sqrt(2); a larger value means the input was not
-    generated by a quantum strategy, and is flagged with a warning.
-    """
-    v = chsh_value(corr)
-    if v > TSIRELSON_BOUND + TOL:
-        warnings.warn(
-            f"CHSH value {v} exceeds 2*sqrt(2); correlations are not "
-            "quantum-realizable",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return v
 
 
 def optimal_settings(spec: JointSpec) -> Settings:

@@ -21,7 +21,6 @@ chosen by a classical coin of bias p.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -35,8 +34,7 @@ from .errors import (
     ZeroAlpha,
 )
 from .povm import Povm
-from .qubit import (ATOL, REFERENCE_AXIS_COS, TOL, QubitState, _freeze, _length,
-                    normalize, unit3)
+from .qubit import ATOL, REFERENCE_AXIS_COS, TOL, _freeze, _length, normalize, unit3
 
 # Outcome alphabet, first slot tracks a, second slot tracks a_prime.
 OUTCOME_LABELS = ("++", "--", "+-", "-+")
@@ -130,15 +128,6 @@ class JointSpec:
         alpha = max_symmetric_alpha(spec.theta)
         return cls(spec.a, spec.a_prime, alpha, alpha)
 
-    def to_json(self) -> str:
-        return json.dumps({"a": list(self.a), "a_prime": list(self.a_prime),
-                           "alpha": self.alpha, "alpha_prime": self.alpha_prime})
-
-    @classmethod
-    def from_json(cls, text: str):
-        doc = json.loads(text)
-        return cls(doc["a"], doc["a_prime"], doc["alpha"], doc["alpha_prime"])
-
 
 @dataclass(frozen=True, eq=False)
 class SwitchRealization:
@@ -155,25 +144,6 @@ class SwitchRealization:
             raise ValueError(f"p = {p} is not a probability")
         object.__setattr__(self, "p", p)
         _freeze(self, c=unit3(self.c), c_prime=unit3(self.c_prime))
-
-    def to_json(self) -> str:
-        return json.dumps({"p": self.p, "c": list(self.c), "c_prime": list(self.c_prime)})
-
-    @classmethod
-    def from_json(cls, text: str):
-        doc = json.loads(text)
-        return cls(doc["p"], doc["c"], doc["c_prime"])
-
-
-@dataclass(frozen=True)
-class VarianceReport:
-    """Variances of the jointly measured +-1 outcomes next to the bare
-    single-observable variances of the same state."""
-
-    var_joint: float
-    var_joint_prime: float
-    var_bare: float
-    var_bare_prime: float
 
 
 class _Diagonals(NamedTuple):
@@ -399,19 +369,6 @@ def _joint_variance(alpha_sq, expectation: np.ndarray) -> np.ndarray:
     return 1.0 - alpha_sq * _squares(expectation)
 
 
-def joint_variances(spec: JointSpec, state: QubitState) -> VarianceReport:
-    """Variances of the +-1 joint outcomes: 1 - alpha^2 <a.sigma>^2.
-
-    The identity var_joint = (1 - alpha^2) + alpha^2 var_bare separates
-    the smearing cost of joint measurement from the intrinsic quantum
-    variance.
-    """
-    m = state.bloch_vector
-    expectations = np.array([float(spec.a @ m), float(spec.a_prime @ m)])
-    joint = _joint_variance(np.array([spec.alpha**2, spec.alpha_prime**2]), expectations)
-    return VarianceReport(*joint.tolist(), *_joint_variance(1.0, expectations).tolist())
-
-
 def switch_realization(spec: JointSpec) -> SwitchRealization:
     """Coin bias and sharp directions reproducing the saturating family.
 
@@ -422,7 +379,8 @@ def switch_realization(spec: JointSpec) -> SwitchRealization:
     d = spec._parallelogram
     _require_saturating(d, "switch realization")
     c, c_prime = _unit_diagonals(d, "a diagonal of the parallelogram vanishes")
-    return SwitchRealization(p=0.5 * d.n_plus, c=c, c_prime=c_prime)
+    # |alpha|, |alpha'| <= 1 + ATOL lets |v_plus|/2 pass 1 by rounding
+    return SwitchRealization(p=min(1.0, 0.5 * d.n_plus), c=c, c_prime=c_prime)
 
 
 def switch_povm(realization: SwitchRealization) -> Povm:

@@ -157,10 +157,6 @@ class QubitState:
     def rho(self) -> np.ndarray:
         return _operators(self._pauli[None])[0]
 
-    @property
-    def bloch_vector(self) -> np.ndarray:
-        return self._pauli[1:].copy()
-
 
 @dataclass(frozen=True, eq=False)
 class TwoQubitState:

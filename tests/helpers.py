@@ -27,6 +27,12 @@ ran, as the oracle for their ``np.float_power`` calls.
 ``reference_doc`` is the document ``povm_to_json`` once handed to
 ``json.dumps(doc, indent=2)``: the oracle for the text it now writes itself.
 
+``joint_variances`` is the variance report the package once exported,
+1 - alpha^2 <a.sigma>^2 next to the bare 1 - <a.sigma>^2, with <a.sigma>
+read as tr(rho a.sigma); ``bloch_vector`` reads m the same way.  The
+package writes Var(A_J) once, in ``joint._joint_variance``, for the
+``total_joint`` and ``arthurs_goodman`` relations.
+
 ``numpy_is_hermitian`` is the Hermiticity test ``qubit.is_hermitian`` once
 made with numpy, max|m - m^H| <= ATOL, as the oracle for its verdict.
 
@@ -39,6 +45,7 @@ over one ``cloning_joint`` per angle), as the oracle for their batches.
 import decimal
 import functools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -106,6 +113,30 @@ def tensor2(a, b):
 def expectation(obs, state):
     """Re tr(obs rho) of a one-qubit state, by matrix product and trace."""
     return float(np.trace(np.asarray(obs, dtype=complex) @ state.rho).real)
+
+
+def bloch_vector(state):
+    """m = (tr(rho sigma_x), tr(rho sigma_y), tr(rho sigma_z)) of a one-qubit state."""
+    return np.array([expectation(pauli, state) for pauli in (PAULI_X, PAULI_Y, PAULI_Z)])
+
+
+@dataclass(frozen=True)
+class VarianceReport:
+    """Variances of the jointly measured +-1 outcomes next to the bare
+    single-observable variances of the same state."""
+
+    var_joint: float
+    var_joint_prime: float
+    var_bare: float
+    var_bare_prime: float
+
+
+def joint_variances(spec, state):
+    """1 - alpha^2 <a.sigma>^2 for a and a_prime, and the bare 1 - <a.sigma>^2,
+    with each <a.sigma> = tr(rho a.sigma) by matrix product and trace."""
+    e, e_prime = (expectation(dense_sigma(u), state) for u in (spec.a, spec.a_prime))
+    return VarianceReport(1 - spec.alpha**2 * e**2, 1 - spec.alpha_prime**2 * e_prime**2,
+                          1 - e**2, 1 - e_prime**2)
 
 
 def reduced_state(state, qubit):

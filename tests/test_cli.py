@@ -41,6 +41,21 @@ def test_validate_boundary_case(capsys):
     assert doc["completeness_defect"] <= 1e-10
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP, 'One verdict at the sharpness boundary': validate "
+                   "admits these specs and uncertainty's product-form slack refuses them")
+@pytest.mark.parametrize("theta_deg, alpha_prime", [
+    ("90", "0.9999994999998751"),
+    ("60", "0.999999624999836"),
+    ("30", "0.9999998749998985"),
+])
+def test_validate_and_uncertainty_agree_at_the_boundary(capsys, theta_deg, alpha_prime):
+    spec = ["--theta-deg", theta_deg, "--alpha", "0.001", "--alpha-prime", alpha_prime]
+    validated, _, _ = run(capsys, ["validate", *spec])
+    bounded, _, _ = run(capsys, ["uncertainty", *spec, "--samples", "1"])
+    assert validated == bounded
+
+
 def test_validate_violating_case(capsys):
     code, out, _ = run(
         capsys,

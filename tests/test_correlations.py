@@ -19,7 +19,6 @@ from spinjoint import (
     Settings,
     born_correlations,
     chsh_value,
-    cirelson_check,
     general_joint_povm,
     joint_correlations,
     no_signalling_probe,
@@ -148,9 +147,8 @@ def test_optimal_settings_geometry():
 
 
 def test_sharp_reference_reaches_tsirelson():
-    corr, value = sharp_chsh_reference()
+    _, value = sharp_chsh_reference()
     assert value == pytest.approx(2.0 * SQ2, abs=1e-12)
-    assert cirelson_check(corr) == value
 
 
 def test_tsirelson_settings_bisectors():
@@ -158,12 +156,6 @@ def test_tsirelson_settings_bisectors():
     assert np.max(np.abs(settings.b - (Z + X) / SQ2)) <= 1e-12
     with pytest.raises(DegenerateDirection):
         tsirelson_settings(Z, Z)
-
-
-def test_cirelson_check_flags_unphysical_correlations():
-    with pytest.warns(RuntimeWarning):
-        value = cirelson_check(CorrelationSet(1.0, 1.0, 1.0, -1.0))
-    assert value == 4.0
 
 
 def test_joint_outcome_table_is_nonnegative():

@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from helpers import (
+    bloch_vector,
     boundary_alphas,
     dense_admissibility,
     exact_admissible,
     exact_eigenvalues,
     exact_probabilities,
+    joint_variances,
     pauli_dot,
     random_admissible_spec,
     random_direction_pair,
@@ -41,7 +43,6 @@ from spinjoint import (
     general_joint_povm,
     is_admissible,
     joint_correlations,
-    joint_variances,
     max_symmetric_alpha,
     optimal_joint_povm,
     optimal_settings,
@@ -405,7 +406,7 @@ def test_unbiased_averages_from_general_povm():
         probs = dict(outcome_probabilities(general_joint_povm(spec), state))
         mean_a = sum(outcome_values(l)[0] * p for l, p in probs.items())
         mean_ap = sum(outcome_values(l)[1] * p for l, p in probs.items())
-        m = state.bloch_vector
+        m = bloch_vector(state)
         assert mean_a == pytest.approx(spec.alpha * float(spec.a @ m), abs=1e-10)
         assert mean_ap == pytest.approx(spec.alpha_prime * float(spec.a_prime @ m), abs=1e-10)
 
@@ -482,6 +483,20 @@ def test_switch_reconstruction_matches_optimal_family():
         assert np.max(np.abs(2 * (1 - sw.p) * sw.c_prime - v_minus)) <= 1e-12
 
 
+def test_switch_realization_clamps_a_coin_bias_past_one():
+    # |alpha|, |alpha'| <= 1 + ATOL are accepted, so on this admissible,
+    # saturating spec |v_plus|/2 exceeds 1 by rounding
+    spec = JointSpec.from_angle(1e-11, 1 + 5e-13, 1 + 5e-13)
+    assert is_admissible(spec) and abs(bound_lhs(spec) - 2.0) <= TOL
+    assert 0.5 * np.linalg.norm(spec.alpha * spec.a + spec.alpha_prime * spec.a_prime) > 1.0
+    sw = switch_realization(spec)
+    assert sw.p == 1.0
+    rebuilt, reference = switch_povm(sw), optimal_joint_povm(spec)
+    assert validate(reference).passes
+    for label in ("++", "--", "+-", "-+"):
+        assert np.max(np.abs(rebuilt.effect(label).op - reference.effect(label).op)) <= TOL
+
+
 def test_boundary_specs_saturate_exactly():
     rng = np.random.default_rng(47)
     for _ in range(100):
@@ -545,23 +560,6 @@ def test_switch_realization_refuses_a_non_probability():
     for p in (1.5, -0.1, math.nan):
         with pytest.raises(ValueError):
             SwitchRealization(p, X, Z)
-
-
-def test_joint_spec_json_round_trip():
-    spec = JointSpec(X, Z, 0.25, 0.75)
-    restored = JointSpec.from_json(spec.to_json())
-    assert np.array_equal(restored.a, spec.a)
-    assert np.array_equal(restored.a_prime, spec.a_prime)
-    assert restored.alpha == spec.alpha
-    assert restored.alpha_prime == spec.alpha_prime
-
-
-def test_switch_realization_json_round_trip():
-    sw = switch_realization(JointSpec(X, Z, 1 / SQ2, 1 / SQ2))
-    restored = SwitchRealization.from_json(sw.to_json())
-    assert restored.p == sw.p
-    assert np.array_equal(restored.c, sw.c)
-    assert np.array_equal(restored.c_prime, sw.c_prime)
 
 
 def test_admissibility_scan_matches_scalar_functions():

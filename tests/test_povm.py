@@ -46,7 +46,6 @@ from spinjoint import (
     born_correlations,
     evaluate_all,
     general_joint_povm,
-    joint_variances,
     max_symmetric_alpha,
     no_signalling_probe,
     optimal_joint_povm,
@@ -496,7 +495,6 @@ def test_package_paths_make_no_operator_matrices(monkeypatch, capsys):
     evaluate_all(spec, state)
     robertson(state, spec.a, spec.a_prime)
     schroedinger(state, spec.a, spec.a_prime)
-    joint_variances(spec, state)
     born_correlations(spec, settings)
     no_signalling_probe(spec, settings)
     sample_povm(povm, state, 1000, stream)

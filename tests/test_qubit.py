@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import expectation, numpy_is_hermitian, pauli_dot, reduced_state, tensor2
+from helpers import (bloch_vector, expectation, numpy_is_hermitian, pauli_dot, reduced_state,
+                     tensor2)
 from spinjoint import (
     ID2,
     PAULI_X,
@@ -87,7 +88,7 @@ def test_bloch_round_trip(v):
     if n > 1.0:
         v = v / (n * (1.0 + 1e-9))
     state = state_from_bloch(v)
-    assert np.max(np.abs(state.bloch_vector - v)) <= 1e-12
+    assert np.max(np.abs(bloch_vector(state) - v)) <= 1e-12
     u = np.array([0.3, -0.5, 0.8])
     assert abs(expectation(pauli_dot(u), state) - u @ v) <= 1e-12
 

@@ -57,14 +57,26 @@ Indented JSON goes through ``json.dumps(..., indent=...)`` only in
 ``cli._emit_rows``: ``povm_to_json`` writes its text itself.  Hermiticity
 is decided only by ``qubit.is_hermitian``, called only by the checked
 constructors' ``Effect.__post_init__`` and ``qubit._density_matrix``, and
-no other function takes a conjugate."""
+no other function takes a conjugate.
+An export ledger: every name ``spinjoint/__init__.py`` imports, and every
+public method or property defined on an exported class, is named in a
+module of ``src/spinjoint/`` other than ``__init__.py`` (an AST name or
+attribute), in a ``bench/`` module (also as a dotted string such as
+``"sampling.sample_indices"``) or in an inline code span of ``README.md``.
+No module in ``src/`` imports a name at module level that it never reads,
+and no module-level private function, class or constant goes unread."""
 
 import ast
+import functools
+import re
 from pathlib import Path
 
 import spinjoint
 
 SRC = Path(spinjoint.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
+README = ROOT / "README.md"
 
 # referenced name -> the one (module file, function) allowed to use it
 OWNERS = {
@@ -101,6 +113,7 @@ GAP_SCAN = ("scenarios.py", "min_cloning_gap")
 DIRECTION_CHECKS = {("uncertainty.py", "robertson"), ("uncertainty.py", "schroedinger")}
 POWER_CALLERS = {("joint.py", "_squares"), ("cli.py", "_random_bloch")}
 COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
+MEMBER_KINDS = (property, functools.cached_property, classmethod, staticmethod)
 LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp,
          ast.Lambda, ast.FunctionDef)
 
@@ -322,3 +335,100 @@ def test_validate_decides_admissibility_once():
     names = {_name(node) for path, func, node in _nodes() if (path, func) == validate}
     assert not {"is_admissible", "require_admissible"} & names
     assert _calls("general_joint_povm").count(validate) == 1
+
+
+def _exports():
+    """Every name ``__init__.py`` imports, then ``Class.member`` for every
+    public method or property defined on an exported class (no fields)."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    names = [alias.asname or alias.name for node in tree.body
+             if isinstance(node, ast.ImportFrom) for alias in node.names]
+    members = []
+    for name in names:
+        cls = getattr(spinjoint, name)
+        if isinstance(cls, type):
+            fields = set(getattr(cls, "__dataclass_fields__", ()))
+            members += [f"{name}.{attr}" for attr, value in vars(cls).items()
+                        if not attr.startswith("_") and attr not in fields
+                        and (callable(value) or isinstance(value, MEMBER_KINDS))]
+    return names + members
+
+
+def _identifiers(tree):
+    """Names and attributes read in a module, and the parts of its dotted
+    string constants such as ``"sampling.sample_indices"``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            found.add(_name(node))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and re.fullmatch(r"\w+(\.\w+)*", node.value):
+            found.update(node.value.split("."))
+    return found
+
+
+def _callers():
+    """Identifiers that count as a use of a public name: AST names and
+    attributes in ``src/`` outside ``__init__.py``, identifiers of the
+    ``bench/`` modules, and words in the README's inline code spans (its
+    fenced blocks are examples, not the documented API)."""
+    src = {_name(node) for path, _, node in _nodes()
+           if path != "__init__.py" and isinstance(node, (ast.Name, ast.Attribute))}
+    bench = set().union(*(_identifiers(ast.parse(path.read_text()))
+                          for path in sorted(BENCH.glob("*.py"))))
+    prose = re.sub(r"```.*?```", "", README.read_text(), flags=re.DOTALL)
+    readme = {word for span in re.findall(r"`[^`]+`", prose) for word in re.findall(r"\w+", span)}
+    return src | bench | readme
+
+
+def test_every_export_has_a_caller():
+    exports = _exports()
+    assert len(exports) > 80  # the ledger has something to check
+    callers = _callers()
+    assert [name for name in exports if name.rsplit(".", 1)[-1] not in callers] == []
+
+
+def _module_level(tree):
+    """(statement, names it binds) for each top-level statement of a module."""
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node, [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node, [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield node, [target.id for target in targets if isinstance(target, ast.Name)]
+
+
+def _loads(tree, kinds=(ast.Name, ast.Attribute)):
+    return {_name(node) for node in ast.walk(tree)
+            if isinstance(node, kinds) and isinstance(node.ctx, ast.Load)}
+
+
+def test_no_dead_imports():
+    # __init__.py imports what the package exports: the ledger checks those
+    dead = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = _loads(tree, ast.Name)  # an import binds a bare name; x.name is another
+        dead += [f"{path.name}: {name}" for node, names in _module_level(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and getattr(node, "module", None) != "__future__"
+                 for name in names if name not in used]
+    assert dead == []
+
+
+def test_no_dead_private_names():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    used = set().union(*map(_loads, trees.values()))
+    private = [
+        f"{module}: {name}"
+        for module, tree in trees.items()
+        for node, names in _module_level(tree)
+        if not isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in names if name.startswith("_") and not name.endswith("__")
+    ]
+    assert len(private) > 40  # the rule has something to check
+    assert [entry for entry in private if entry.split(": ")[1] not in used] == []

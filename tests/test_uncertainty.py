@@ -6,6 +6,7 @@ import pytest
 
 from golden import CLI_MANIFEST, check_entry
 from helpers import (
+    joint_variances,
     pauli_dot,
     python_random_bloch,
     python_squares,
@@ -206,6 +207,18 @@ def test_total_joint_holds_over_random_pairs():
         spec = random_admissible_spec(rng, min_scale=0.3)
         report = total_joint(spec, random_state(rng))
         assert report.slack >= -1e-10
+
+
+def test_joint_relations_lhs_is_the_dense_variance_product():
+    # Var(A_J) Var(A'_J) / (alpha^2 alpha'^2), each Var(A_J) = 1 - alpha^2 tr(rho A)^2
+    rng = np.random.default_rng(149)
+    for _ in range(200):
+        spec = random_admissible_spec(rng, min_scale=0.3)
+        state = random_state(rng)
+        report = joint_variances(spec, state)
+        lhs = report.var_joint * report.var_joint_prime / (spec.alpha**2 * spec.alpha_prime**2)
+        assert total_joint(spec, state).lhs == pytest.approx(lhs, rel=1e-12)
+        assert arthurs_goodman(spec, state).lhs == pytest.approx(lhs, rel=1e-12)
 
 
 def test_arthurs_goodman_examples():
