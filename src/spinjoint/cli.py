@@ -6,8 +6,10 @@ converted to radians internally; direction flags (--a, --a-prime) are
 normalized.  All output is a pure function of the flags (plus --seed for
 the stochastic subcommands): reruns are byte-identical.
 
-Exit codes: 0 success, 1 domain violation (inadmissible parameters or a
-failed assertion), 2 usage error.  Each ``cmd_*`` is a function of the
+Exit codes: 0 success, 1 domain violation, 2 usage error.  An exit 1 is
+a library refusal of the spec (``SpinJointError``), a failed ``validate``
+check or ``signal``'s |z| >= 5: ``cli.py`` compares nothing with a
+tolerance.  Each ``cmd_*`` is a function of the
 parsed flags alone: a usage error it finds while it runs (conflicting
 flags, a zero sharpness for ``uncertainty``, an unwritable ``--out``) is
 raised as ``argparse.ArgumentTypeError`` or ``ZeroAlpha``, and ``main``
@@ -49,7 +51,7 @@ from .joint import (
     product_form_check,
 )
 from .povm import validate as validate_povm
-from .qubit import TOL, _bloch_rows, normalize, state_from_bloch, vec3
+from .qubit import _bloch_rows, normalize, state_from_bloch, vec3
 from .sampling import (
     GENERATOR_NAME,
     SeededStream,
@@ -244,10 +246,9 @@ def cmd_chsh(args) -> int:
     spec = _resolve_spec(args)
     settings = optimal_settings(spec)
     corr = joint_correlations(spec, settings)
-    value = chsh_value(corr)
     _, sharp_ref = sharp_chsh_reference()
     record = {
-        "chsh": value,
+        "chsh": chsh_value(corr),
         "e_ab": corr.e_ab,
         "e_apb": corr.e_apb,
         "e_abp": corr.e_abp,
@@ -264,7 +265,7 @@ def cmd_chsh(args) -> int:
         record["n"] = args.n
         record["seed"] = args.seed
     _emit_rows(args, record)
-    return 0 if value <= 2.0 + TOL else 1
+    return 0
 
 
 def cmd_sample(args) -> int:
@@ -317,14 +318,13 @@ def cmd_uncertainty(args) -> int:
     table = _relations(_bloch_rows(_random_bloch(u)), spec.a, spec.a_prime, spec)
     lhs = np.column_stack([table[r][0] for r in RELATION_IDS])
     rhs = np.column_stack([table[r][1] for r in RELATION_IDS])
-    slack = lhs - rhs
     rows = [
         {"relation_id": relation_id, "lhs": lo, "rhs": hi, "slack": gap}
-        for row in zip(lhs.tolist(), rhs.tolist(), slack.tolist())
+        for row in zip(lhs.tolist(), rhs.tolist(), (lhs - rhs).tolist())
         for relation_id, lo, hi, gap in zip(RELATION_IDS, *row)
     ]
     _emit_rows(args, rows)
-    return 0 if slack.min() >= -TOL else 1
+    return 0
 
 
 def cmd_bb84(args) -> int:

@@ -12,9 +12,11 @@ normal to the measurement plane:
                                                          + (cos(theta) - <A><A'>)^2
   cirelson_product  (2-al^2)(2-al'^2)/(al^2 al'^2)    >= sin^2(theta)
 
-product_form is state independent and saturates exactly when the
-sharpness bound is saturated; cirelson_product is the analogous
-translation of the 2 sqrt(2) correlation ceiling and admits al = al' = 1.
+product_form is state independent and restates the sharpness bound, with
+slack (1 - product_form_check)/(al^2 al'^2); total_joint and arthurs_goodman
+meet it at theta = 90 degrees, al = al' = 1/sqrt(2) and m = a x a'/|a x a'|.
+On that scale an admitted boundary spec's slack can read slightly negative:
+``joint._decide`` alone decides.  cirelson_product admits al = al' = 1.
 
 One kernel, ``_relations``, writes the state-dependent formulas once over
 the (N, 4) Pauli rows (t, m) of a batch of states, for unit directions a
@@ -59,9 +61,7 @@ def _require_plane(sin_t: float) -> None:
 
 
 def _spec_relations(spec: JointSpec) -> _SpecRelations:
-    """The spec's relation data, after every refusal of the spec, in order:
-    the product forms (ZeroAlpha), a_perp (CollinearDirections), then the
-    admissibility decision (BoundViolated)."""
+    """The spec's relation data, after each spec refusal in the module docstring's order."""
     data = spec._relation_data
     _require_plane(data.sin_t)
     require_admissible(spec)

@@ -62,6 +62,17 @@ CLI_MANIFEST = {
     "chsh-180": (
         ["chsh", "--theta-deg", "180"],
         1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", False),
+    # a symmetric spec 5e-11 past 1/sqrt(2) that joint._decide admits; digests
+    # recorded while chsh and uncertainty still exited 1 here on their own
+    # tolerance checks (CHSH 2.0000000001414215, product-form slack -5.66e-10)
+    "chsh-boundary-90": (
+        ["chsh", "--theta-deg", "90", "--alpha", "0.7071067812365475",
+         "--alpha-prime", "0.7071067812365475"],
+        0, "1af16512ba43b88bb8a6f22c42215b9f3286f422ae06a583e4852af814d37899", True),
+    "uncertainty-boundary-90-csv": (
+        ["uncertainty", "--theta-deg", "90", "--alpha", "0.7071067812365475",
+         "--alpha-prime", "0.7071067812365475", "--samples", "3", "--seed", "0"],
+        0, "be020873c4fdbc7edc2b48d219f5046ebdd35705974b9e991d221a4a51a85708", True),
     "cloning": (
         ["cloning"],
         0, "f15af4421b29c75551db50a92b67e07950b684f922bd9cfa73c3ccf0fb5c0322", True),

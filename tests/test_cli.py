@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -8,16 +9,20 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from golden import CLI_MANIFEST, MANY_ROW_MANIFEST, check_entry
 from helpers import scan_theta_rows
 from spinjoint import cli, sampling, validate
 from spinjoint.cli import main
+from spinjoint.joint import is_admissible, max_symmetric_alpha
 
 SQ2 = math.sqrt(2.0)
 
@@ -26,6 +31,23 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _contained_run(argv):
+    """(exit code, stdout, stderr) of main, with SystemExit the only exception
+    let through and the clamp warning the only warning allowed."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert [str(w.message) for w in caught
+            if not (w.category is RuntimeWarning
+                    and str(w.message).startswith("clamped negative probability"))] == []
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_validate_boundary_case(capsys):
@@ -41,19 +63,58 @@ def test_validate_boundary_case(capsys):
     assert doc["completeness_defect"] <= 1e-10
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP, 'One verdict at the sharpness boundary': validate "
-                   "admits these specs and uncertainty's product-form slack refuses them")
-@pytest.mark.parametrize("theta_deg, alpha_prime", [
-    ("90", "0.9999994999998751"),
-    ("60", "0.999999624999836"),
-    ("30", "0.9999998749998985"),
+# one spec's flags through every command that decides admissibility; signal
+# at n <= 12 cannot reach its |z| >= 5 exit, since |z| <= sqrt(2n)
+VERDICT_COMMANDS = (["validate"], ["chsh"], ["uncertainty", "--samples", "1"],
+                    ["signal", "--n", "10", "--seed", "1"], ["sample", "--n", "10", "--seed", "1"])
+
+
+def _verdicts(spec):
+    """Each verdict command's exit code on one spec's flags."""
+    return [_contained_run([command, *spec, *extra])[0] for command, *extra in VERDICT_COMMANDS]
+
+
+@pytest.mark.parametrize("theta_deg, alpha, alpha_prime", [
+    # alpha = 0.001 and alpha' within an ulp of the boundary root
+    ("90", "0.001", "0.9999994999998751"),
+    ("60", "0.001", "0.999999624999836"),
+    ("30", "0.001", "0.9999998749998985"),
+    # symmetric, alpha = alpha' = alpha_max(theta)(1 + 1e-10), and 1/sqrt(2) + 5e-11
+    *((theta, alpha, alpha) for theta, alpha in [
+        ("30", "0.8164965810093758"), ("60", "0.7320508076420824"),
+        ("90", "0.7071067812572581"), ("120", "0.7320508076420823"),
+        ("150", "0.8164965810093758"), ("90", "0.7071067812365475")]),
 ])
-def test_validate_and_uncertainty_agree_at_the_boundary(capsys, theta_deg, alpha_prime):
-    spec = ["--theta-deg", theta_deg, "--alpha", "0.001", "--alpha-prime", alpha_prime]
-    validated, _, _ = run(capsys, ["validate", *spec])
-    bounded, _, _ = run(capsys, ["uncertainty", *spec, "--samples", "1"])
-    assert validated == bounded
+def test_validate_and_uncertainty_agree_at_the_boundary(theta_deg, alpha, alpha_prime):
+    # joint._decide admits each of these specs, and every command says so
+    spec = ["--theta-deg", theta_deg, "--alpha", alpha, "--alpha-prime", alpha_prime]
+    assert _verdicts(spec) == [0] * len(VERDICT_COMMANDS)
+
+
+@st.composite
+def boundary_flags(draw):
+    """Spec flags on either side of the sharpness boundary: symmetric at
+    alpha_max(theta)(1 + k 1e-11), or alpha log-uniform in [1e-7, 1) with
+    alpha' within 2 ulp of its boundary root."""
+    theta_deg = draw(st.floats(1.0, 179.0))
+    theta = math.radians(theta_deg)
+    if draw(st.booleans()):
+        alpha = alpha_prime = max_symmetric_alpha(theta) * (1.0 + draw(st.integers(-100, 100))
+                                                             * 1e-11)
+    else:
+        # alpha = 1 would leave alpha' = 0, a usage error of uncertainty
+        alpha = 10.0 ** draw(st.floats(-7.0, -1e-9))
+        root = math.sqrt((1.0 - alpha**2) / (1.0 - (alpha * math.cos(theta)) ** 2))
+        alpha_prime = root + draw(st.integers(-2, 2)) * math.ulp(root)
+    return ["--theta-deg", repr(theta_deg), "--alpha", repr(alpha),
+            "--alpha-prime", repr(alpha_prime)]
+
+
+@given(boundary_flags())
+@settings(deadline=None, max_examples=200)
+def test_every_command_gives_the_library_verdict(spec):
+    admitted = is_admissible(cli._resolve_spec(cli.build_parser().parse_args(["validate", *spec])))
+    assert _verdicts(spec) == [0 if admitted else 1] * len(VERDICT_COMMANDS)
 
 
 def test_validate_violating_case(capsys):
@@ -135,6 +196,75 @@ def test_usage_errors_exit_2(capsys, argv):
     assert out.out == ""
     assert out.err.startswith("usage: spinjoint")
     assert "Traceback" not in out.err
+
+
+# the CLI's crash contract over an argv grammar: edge numbers and vectors in
+# every flag, tiny sizes (uncertainty and scan-theta hold their whole output)
+EDGE_NUMBERS = st.sampled_from(["nan", "inf", "-inf", "5e-324", "1e308", "-0", "1",
+                                "1.000000000001", "0.999999999999", "", "x"])
+
+
+def _numbers(low, high):
+    # an edge value one time in four: each flag drawn is a usage error then
+    return st.one_of(EDGE_NUMBERS, *[st.floats(low, high).map(repr)] * 3)
+
+
+VECTORS = st.sampled_from(["0,0,0", "1,0,0", "-1,0,0", "1,1e-17,0", "-1,-1e-17,0",
+                           "1e308,1e308,0", "inf,0,0", "nan,0,0", "5e-324,0,0", "1,2",
+                           "1,2,3,4", "", "x,y,z"]) \
+    | st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(lambda v: ",".join(map(repr, v)))
+SIZE = st.integers(-1, 100)
+SEED = st.integers(-1, 3)
+SPEC_FLAGS = {"--a": VECTORS, "--a-prime": VECTORS, "--theta-deg": _numbers(0.0, 180.0),
+              "--alpha": _numbers(-1.0, 1.0) | st.just("optimal-symmetric"),
+              "--alpha-prime": _numbers(-1.0, 1.0)}
+COMMAND_FLAGS = {
+    "validate": SPEC_FLAGS,
+    "scan-theta": {"--points": st.integers(0, 5)},
+    "chsh": {**SPEC_FLAGS, "--n": SIZE, "--seed": SEED},
+    "sample": {**SPEC_FLAGS, "--bloch": VECTORS, "--n": SIZE, "--seed": SEED},
+    "signal": {**SPEC_FLAGS, "--n": SIZE, "--seed": SEED},
+    "uncertainty": {**SPEC_FLAGS, "--samples": st.integers(-1, 10), "--seed": SEED},
+    "bb84": {"--theta-deg": _numbers(0.0, 180.0), "--n": SIZE, "--seed": SEED},
+    "cloning": {"--theta-deg": _numbers(0.0, 180.0), "--eta": _numbers(0.0, 1.0)},
+}
+REQUIRED = {"sample": ("--n", "--seed"), "signal": ("--n", "--seed"), "bb84": ("--n", "--seed")}
+
+
+@st.composite
+def cli_argvs(draw):
+    """A subcommand and a subset of its flags, each written as --flag=value
+    or as two words (a value such as -inf then reads as an option)."""
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    flags = COMMAND_FLAGS[command]
+    argv = [command]
+    chosen = draw(st.lists(st.sampled_from(sorted(flags)), unique=True))
+    # a missing required flag is one usage error among many: leave it out rarely
+    chosen += [flag for flag in REQUIRED.get(command, ())
+               if flag not in chosen and draw(st.integers(0, 9)) < 9]
+    for flag in chosen:
+        value = str(draw(flags[flag]))
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["csv", "json", "xml"]))]
+    return argv
+
+
+@given(cli_argvs())
+@settings(deadline=None, max_examples=200)
+def test_cli_crash_contract(argv):
+    code, out, err = _contained_run(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == ""
+        assert err.startswith("usage: spinjoint")
+        return
+    # --out FILE gets the bytes stdout got, and nothing else changes
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out"
+        assert _contained_run([*argv, "--out", str(path)]) == (code, "", err)
+        assert (path.read_text() if path.exists() else "") == out
 
 
 # a usage error found while a command runs prints the top-level usage line,

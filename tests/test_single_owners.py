@@ -52,7 +52,8 @@ takes the parser, a usage error becomes exit 2 only through
 ``parser.error`` in ``cli.main`` (the one caller of ``build_parser`` in
 ``cli.py``), and ``cmd_validate`` takes its admissibility verdict from the
 one ``general_joint_povm`` call, never from ``is_admissible`` or
-``require_admissible``.
+``require_admissible``.  ``cli.py`` reads neither ``TOL`` nor ``ATOL``, so
+every exit 1 about a spec is a library refusal, never a second verdict.
 Indented JSON goes through ``json.dumps(..., indent=...)`` only in
 ``cli._emit_rows``: ``povm_to_json`` writes its text itself.  Hermiticity
 is decided only by ``qubit.is_hermitian``, called only by the checked
@@ -335,6 +336,13 @@ def test_validate_decides_admissibility_once():
     names = {_name(node) for path, func, node in _nodes() if (path, func) == validate}
     assert not {"is_admissible", "require_admissible"} & names
     assert _calls("general_joint_povm").count(validate) == 1
+
+
+def test_cli_reads_no_tolerance():
+    reads = [f"{path}:{node.lineno} in {func}" for path, func, node in _nodes()
+             if path == "cli.py" and isinstance(node, (ast.Name, ast.Attribute))
+             and _name(node) in ("TOL", "ATOL")]
+    assert reads == []
 
 
 def _exports():
