@@ -79,30 +79,25 @@ def sharp_correlation(a, b) -> float:
     return -float(unit3(a) @ unit3(b))
 
 
+def _correlations(a, a_prime, alpha, alpha_prime, settings: Settings) -> CorrelationSet:
+    """The one closed form E = -alpha(.) a(.).b(.) of a singlet correlation set, in
+    field order (a, b), (a', b), (a, b'), (a', b'), for checked unit directions."""
+    return CorrelationSet(*(-al * float(u @ b) for b in (settings.b, settings.b_prime)
+                            for al, u in ((alpha, a), (alpha_prime, a_prime))))
+
+
 def sharp_correlations(a, a_prime, settings: Settings) -> CorrelationSet:
     """Correlation set for sharp (unit-sharpness) measurements of both
     observables on separate singlet halves; this is the configuration the
     joint-measurement bound does NOT constrain."""
-    return CorrelationSet(
-        e_ab=sharp_correlation(a, settings.b),
-        e_apb=sharp_correlation(a_prime, settings.b),
-        e_abp=sharp_correlation(a, settings.b_prime),
-        e_apbp=sharp_correlation(a_prime, settings.b_prime),
-    )
+    return _correlations(unit3(a), unit3(a_prime), 1.0, 1.0, settings)
 
 
 def joint_correlations(spec: JointSpec, settings: Settings) -> CorrelationSet:
     """Closed-form correlation set for a joint measurement against sharp
     analyzers: each entry is -alpha(.) times a dot product."""
     require_admissible(spec)
-    a, ap = spec.a, spec.a_prime
-    al, alp = spec.alpha, spec.alpha_prime
-    return CorrelationSet(
-        e_ab=-al * float(a @ settings.b),
-        e_apb=-alp * float(ap @ settings.b),
-        e_abp=-al * float(a @ settings.b_prime),
-        e_apbp=-alp * float(ap @ settings.b_prime),
-    )
+    return _correlations(spec.a, spec.a_prime, spec.alpha, spec.alpha_prime, settings)
 
 
 def _analyzer_tables(spec: JointSpec, settings: Settings):

@@ -24,7 +24,6 @@ from __future__ import annotations
 import cmath
 import functools
 import json
-import warnings
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
@@ -175,18 +174,12 @@ def _probabilities(povm: Povm, rows: np.ndarray) -> np.ndarray:
     (t_j + r_j.sigma)/2 on the states (s_i + m_i.sigma)/2, from their
     (N, 4) Pauli rows (s, m): one row of probabilities per state.
 
-    Negatives down to -TOL, the allowance validation grants, are clamped to
-    0, each flagged with a RuntimeWarning so sampling stays deterministic.
+    Negatives down to -TOL lie within the allowance validation grants: that
+    rounding is already ruled on, so they are set to 0 without a warning.
     """
     _require_valid(povm)
     probs = 0.5 * (povm._pauli @ rows[..., None])[..., 0]
-    for i, j in np.argwhere((probs >= -TOL) & (probs < 0.0)).tolist():
-        warnings.warn(
-            f"clamped negative probability {probs[i, j]} for outcome {povm.labels[j]!r}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        probs[i, j] = 0.0
+    probs[(probs >= -TOL) & (probs < 0.0)] = 0.0
     return probs
 
 
@@ -242,12 +235,15 @@ def povm_to_json(povm: Povm) -> str:
 
 
 def povm_from_json(text: str) -> Povm:
+    """The POVM of a ``povm_to_json`` document; any malformed one (syntax, layout,
+    entries, an unhashable label) raises ValueError, a non-Hermitian matrix NotHermitian."""
     doc = json.loads(text)
-    effects = []
-    for item in doc["effects"]:
-        entries = [complex(re, im) for re, im in item["op"]]
-        if len(entries) != 4:
-            raise ValueError("each effect needs exactly 4 complex entries")
-        op = np.array(entries, dtype=complex).reshape(2, 2)
-        effects.append(Effect(item["label"], op))
-    return Povm(tuple(effects))
+    try:
+        effects = []
+        for item in doc["effects"]:
+            entries = [complex(re, im) for re, im in item["op"]]
+            op = np.array(entries, dtype=complex).reshape(2, 2)  # 4 entries, or ValueError
+            effects.append(Effect(item["label"], op))
+        return Povm(tuple(effects))
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed POVM document: {exc!r}") from exc

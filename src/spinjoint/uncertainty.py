@@ -28,8 +28,8 @@ alpha'^2, the plane of a and a', and the two product forms of
 every refusal of the spec before any row is read, in this order: the
 product forms (ZeroAlpha), a_perp (CollinearDirections), then the
 admissibility decision (BoundViolated).  The public functions and
-``evaluate_all`` are batches of one; ``_product_forms`` also runs on a
-whole grid of angles (``scan-theta``).
+``evaluate_all`` are batches of one, whose row ``_rows`` reads; ``_product_forms``
+also runs on a whole grid of angles (``scan-theta``).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CollinearDirections
+from .errors import CollinearDirections, InvalidState
 from .joint import (JointSpec, _joint_variance, _plane, _SpecRelations, _squares,
                     require_admissible)
 from .qubit import ATOL, QubitState, unit3
@@ -96,6 +96,13 @@ def _relations(rows, a, a_prime, spec: JointSpec | None = None) -> dict:
     return table
 
 
+def _rows(state: QubitState) -> np.ndarray:
+    """The (1, 4) row of a one-qubit state; anything else is refused as the Born rule refuses it."""
+    if not isinstance(state, QubitState):
+        raise InvalidState("expected a QubitState")
+    return state._pauli[None]
+
+
 def _report(relation_id: str, table: dict) -> UncertaintyReport:
     lhs, rhs = (float(v[0]) for v in table[relation_id])
     return UncertaintyReport(relation_id, lhs, rhs, lhs - rhs)
@@ -110,13 +117,13 @@ def product_form(spec: JointSpec) -> UncertaintyReport:
 def robertson(state: QubitState, a, a_prime) -> UncertaintyReport:
     """Commutator bound on the bare variance product; state dependent and
     not always tight."""
-    return _report("robertson", _relations(state._pauli[None], unit3(a), unit3(a_prime)))
+    return _report("robertson", _relations(_rows(state), unit3(a), unit3(a_prime)))
 
 
 def total_joint(spec: JointSpec, state: QubitState) -> UncertaintyReport:
     """Bound on the total joint-variance product, combining the jointness
     cost with the commutator bound; specific to spin directions."""
-    return _report("total_joint", _relations(state._pauli[None], spec.a, spec.a_prime, spec))
+    return _report("total_joint", _relations(_rows(state), spec.a, spec.a_prime, spec))
 
 
 def arthurs_goodman(spec: JointSpec, state: QubitState) -> UncertaintyReport:
@@ -126,7 +133,7 @@ def arthurs_goodman(spec: JointSpec, state: QubitState) -> UncertaintyReport:
     and the ``total_joint`` rhs is never smaller for the same state, with
     equality at |x| = 1.
     """
-    return _report("arthurs_goodman", _relations(state._pauli[None], spec.a, spec.a_prime, spec))
+    return _report("arthurs_goodman", _relations(_rows(state), spec.a, spec.a_prime, spec))
 
 
 def schroedinger(state: QubitState, a, a_prime) -> UncertaintyReport:
@@ -136,7 +143,7 @@ def schroedinger(state: QubitState, a, a_prime) -> UncertaintyReport:
     (cos(theta) - <A><A'>)^2; for every pure qubit state the relation is
     an identity (slack 0).
     """
-    return _report("schroedinger", _relations(state._pauli[None], unit3(a), unit3(a_prime)))
+    return _report("schroedinger", _relations(_rows(state), unit3(a), unit3(a_prime)))
 
 
 def cirelson_product(spec: JointSpec) -> UncertaintyReport:
@@ -147,5 +154,5 @@ def cirelson_product(spec: JointSpec) -> UncertaintyReport:
 
 def evaluate_all(spec: JointSpec, state: QubitState) -> list[UncertaintyReport]:
     """All six relations for one (spec, state) pair, in RELATION_IDS order."""
-    table = _relations(state._pauli[None], spec.a, spec.a_prime, spec)
+    table = _relations(_rows(state), spec.a, spec.a_prime, spec)
     return [_report(relation_id, table) for relation_id in RELATION_IDS]

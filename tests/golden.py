@@ -1,8 +1,7 @@
 """The CLI's golden manifest: seeded ``spinjoint.cli.main`` output pinned by hash.
 
 Each entry maps a name to (argv, exit code, sha256 of stdout, whether stderr
-is empty).  stderr itself is not hashed, and for the clamp case, whose
-RuntimeWarning names a file and line, its emptiness is not pinned (None).
+is empty).  stderr itself is not hashed.
 Digests are recorded before the code they guard changes, so a documented
 output change shows up as an explicit edit of its entry.
 """
@@ -10,8 +9,6 @@ output change shows up as an explicit edit of its entry.
 import contextlib
 import hashlib
 import io
-
-import pytest
 
 from spinjoint.cli import main
 
@@ -79,9 +76,10 @@ CLI_MANIFEST = {
     "uncertainty-json": (
         ["uncertainty", "--format", "json"],
         0, "eb907be80c7622e7aa05568bd87a63e632c8627b05d03ea27458502f296cc129", True),
+    # the "--" Born entry rounds to -3.06e-17 and is set to 0 without a warning
     "sample-clamped": (
         ["sample", "--theta-deg", "180", "--bloch", "1,0,0", "--n", "10", "--seed", "1"],
-        0, "24a76d24cbf10dfcd3afc69388055892a1639b10a8a1ca4e592577aa42998279", None),
+        0, "24a76d24cbf10dfcd3afc69388055892a1639b10a8a1ca4e592577aa42998279", True),
     "usage-error": (
         ["bb84", "--n", "0", "--seed", "1"],
         2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", False),
@@ -249,13 +247,11 @@ def check_entry(name, manifest=CLI_MANIFEST):
     """Run one entry's argv in this process and compare it with the manifest."""
     argv, exit_code, digest, stderr_empty = manifest[name]
     out, err = io.StringIO(), io.StringIO()
-    warns = pytest.warns(RuntimeWarning) if stderr_empty is None else contextlib.nullcontext()
-    with warns, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
     assert code == exit_code, name
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, name
-    if stderr_empty is not None:
-        assert (err.getvalue() == "") is stderr_empty, name
+    assert (err.getvalue() == "") is stderr_empty, name

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -158,7 +159,8 @@ def test_clamping_and_validation_share_one_allowance(d):
     povm = Povm((Effect("a", e), Effect("b", ID2 - e)))
     down = state_from_bloch((0, 0, -1))
     if d < TOL:
-        with pytest.warns(RuntimeWarning, match="clamped"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # validation admitted it: no warning
             probs = dict(outcome_probabilities(povm, down))
         assert probs["a"] == 0.0
     else:
@@ -196,21 +198,19 @@ def test_probability_kernel_rounds_as_a_batch_of_one():
             assert got == (0.5 * (povm._pauli @ row)).tolist()
 
 
-def test_clamp_warning_names_the_caller():
+def test_clamp_is_silent_for_one_state_and_a_batch():
     # cos(pi) leaves outcome "--" at -6.1e-18 on this state
     alpha = max_symmetric_alpha(math.pi)
     povm = general_joint_povm(JointSpec.from_angle(math.pi, alpha, alpha))
     state = state_from_bloch((0.2, -0.1, 0.5))
-    with pytest.warns(RuntimeWarning) as caught:
+    unclamped = dict(zip(povm.labels, (0.5 * (povm._pauli @ state._pauli)).tolist()))
+    assert unclamped["--"] == -6.123233995736766e-18
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         probs = dict(outcome_probabilities(povm, state))
-    assert probs["--"] == 0.0
-    assert [(w.filename, str(w.message)) for w in caught] == [
-        (__file__, "clamped negative probability -6.123233995736766e-18 for outcome '--'")
-    ]
-    # the kernel warns once per clamped (state, outcome) entry
-    with pytest.warns(RuntimeWarning) as caught:
+        # a batch clamps each of its (state, outcome) entries alike
         table = _probabilities(povm, np.stack([state._pauli] * 3))
-    assert len(caught) == 3
+    assert probs["--"] == 0.0
     assert table.tolist() == [list(probs.values())] * 3
 
 
@@ -596,6 +596,33 @@ def test_user_supplied_matrices_keep_full_checks(op, error):
     flat = [[z.real, z.imag] for z in np.asarray(op, dtype=complex).reshape(-1)]
     with pytest.raises(error):  # a 3x3 has 9 entries, not 4: ValueError too
         povm_from_json(json.dumps({"effects": [{"label": "x", "op": flat}]}))
+
+
+HALF = [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{}",
+        "[]",
+        '"effects"',
+        '{"effects": 3}',
+        '{"effects": [3]}',
+        '{"effects": [{"op": %s}]}' % json.dumps(HALF),
+        '{"effects": [{"label": "x"}]}',
+        '{"effects": [{"label": "x", "op": [1, 2, 3, 4]}]}',
+        '{"effects": [{"label": "x", "op": [["x", 0], [0, 0], [0, 0], [1, 0]]}]}',
+        '{"effects": [{"label": "x", "op": [[1e999, 0], [0, 0], [0, 0], [1, 0]]}]}',
+        '{"effects": [{"label": "x", "op": [[1%s, 0], [0, 0], [0, 0], [1, 0]]}]}' % ("0" * 400),
+        '{"effects": [{"label": ["x"], "op": %s}]}' % json.dumps(HALF),
+        '{"effects": []}',
+        '{"effects": [',
+    ],
+)
+def test_malformed_json_documents_raise_one_value_error(text):
+    with pytest.raises(ValueError):
+        povm_from_json(text)
 
 
 def test_povm_rejects_duplicate_labels():

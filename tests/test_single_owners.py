@@ -58,7 +58,10 @@ Indented JSON goes through ``json.dumps(..., indent=...)`` only in
 ``cli._emit_rows``: ``povm_to_json`` writes its text itself.  Hermiticity
 is decided only by ``qubit.is_hermitian``, called only by the checked
 constructors' ``Effect.__post_init__`` and ``qubit._density_matrix``, and
-no other function takes a conjugate.
+no other function takes a conjugate.  No module imports ``warnings`` or
+calls ``warn``: stdout and stderr carry only results, usage lines and
+refusals, and a Born entry in [-TOL, 0), which validation admits, is set
+to 0 silently.
 An export ledger: every name ``spinjoint/__init__.py`` imports, and every
 public method or property defined on an exported class, is named in a
 module of ``src/spinjoint/`` other than ``__init__.py`` (an AST name or
@@ -343,6 +346,14 @@ def test_cli_reads_no_tolerance():
              if path == "cli.py" and isinstance(node, (ast.Name, ast.Attribute))
              and _name(node) in ("TOL", "ATOL")]
     assert reads == []
+
+
+def test_package_emits_no_warnings():
+    found = [f"{path}:{node.lineno}" for path, _, node in _nodes()
+             if isinstance(node, ast.Call) and _name(node.func) in ("warn", "warn_explicit")
+             or isinstance(node, ast.Import) and "warnings" in map(_name, node.names)
+             or isinstance(node, ast.ImportFrom) and node.module == "warnings"]
+    assert found == []
 
 
 def _exports():

@@ -20,15 +20,19 @@ from spinjoint import (
     RELATION_IDS,
     BoundViolated,
     CollinearDirections,
+    InvalidState,
     JointSpec,
     ZeroAlpha,
     arthurs_goodman,
     cirelson_product,
     evaluate_all,
+    outcome_probabilities,
     product_form,
     product_form_check,
+    projective_povm,
     robertson,
     schroedinger,
+    singlet,
     state_from_bloch,
     total_joint,
 )
@@ -112,6 +116,26 @@ def test_joint_relations_reject_inadmissible_spec(relation):
     with pytest.raises(BoundViolated) as excinfo:
         relation(spec, MIXED)
     assert excinfo.value.min_eigenvalue < 0.0
+
+
+ADMISSIBLE = JointSpec.from_angle(math.pi / 2, 0.5, 0.5)
+STATE_RELATIONS = {
+    "robertson": lambda state: robertson(state, X, Z),
+    "schroedinger": lambda state: schroedinger(state, X, Z),
+    "total_joint": lambda state: total_joint(ADMISSIBLE, state),
+    "arthurs_goodman": lambda state: arthurs_goodman(ADMISSIBLE, state),
+    "evaluate_all": lambda state: evaluate_all(ADMISSIBLE, state),
+}
+
+
+@pytest.mark.parametrize("relation", sorted(STATE_RELATIONS))
+@pytest.mark.parametrize("state", [singlet(), "x", 0.5 * np.eye(2), None],
+                         ids=["singlet", "str", "ndarray", "none"])
+def test_relations_refuse_a_non_state_as_the_born_rule_does(relation, state):
+    with pytest.raises(InvalidState, match="^expected a QubitState$"):
+        outcome_probabilities(projective_povm(Z), state)
+    with pytest.raises(InvalidState, match="^expected a QubitState$"):
+        STATE_RELATIONS[relation](state)
 
 
 class _UnreadRows:
