@@ -41,8 +41,6 @@ from .errors import BoundViolated, SpinJointError, ZeroAlpha
 from .joint import (
     JointSpec,
     _check_sharpness,
-    _product_forms,
-    _squares,
     _theta_grid,
     bound_lhs,
     general_effect_min_eigenvalues,
@@ -60,7 +58,7 @@ from .sampling import (
     signalling_experiment,
 )
 from .scenarios import CLONER_ETA_MAX, bb84_eve, cloning_joint, min_cloning_gap
-from .uncertainty import RELATION_IDS, _relations, _spec_relations
+from .uncertainty import RELATION_IDS, _product_forms, _relations, _spec_relations, _squares
 
 
 def _vector(text: str) -> np.ndarray:
@@ -313,9 +311,9 @@ def _random_bloch(u: np.ndarray) -> np.ndarray:
 
 def cmd_uncertainty(args) -> int:
     spec = _resolve_spec(args)
-    _spec_relations(spec)  # every refusal of the spec, before any draw
+    data = _spec_relations(spec)  # every refusal of the spec, before any draw
     u = SeededStream(args.seed).uniforms(0, 3 * args.samples)
-    table = _relations(_bloch_rows(_random_bloch(u)), spec.a, spec.a_prime, spec)
+    table = _relations(_bloch_rows(_random_bloch(u)), *data)
     lhs = np.column_stack([table[r][0] for r in RELATION_IDS])
     rhs = np.column_stack([table[r][1] for r in RELATION_IDS])
     rows = [

@@ -13,9 +13,9 @@ alpha' a' must not sum to more than 2.
 
 This module builds the four-outcome measurement families realizing such
 joint measurements (the boundary-saturating one and the general
-admissible one), their marginals and variances, and the equivalent
-realization that measures sharply along one of two directions c, c'
-chosen by a classical coin of bias p.
+admissible one) and the equivalent realization that measures sharply
+along one of two directions c, c' chosen by a classical coin of bias p.
+The uncertainty relations that restate the bound are ``uncertainty.py``'s.
 """
 
 from __future__ import annotations
@@ -27,12 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    BoundViolated,
-    DegenerateDirection,
-    NotSaturating,
-    ZeroAlpha,
-)
+from .errors import BoundViolated, DegenerateDirection, NotSaturating
 from .povm import Povm
 from .qubit import ATOL, REFERENCE_AXIS_COS, TOL, _freeze, _length, normalize, unit3
 
@@ -88,15 +83,6 @@ class JointSpec:
         """The admissibility kernel on this spec, run on first use and
         kept: the spec is frozen."""
         return _diagonals(self.a, self.a_prime, self.alpha, self.alpha_prime)
-
-    @functools.cached_property
-    def _relation_data(self) -> _SpecRelations:
-        """The state-independent half of the uncertainty relations, made on
-        first use and kept; the product forms refuse a zero alpha."""
-        x, y = self.alpha**2, self.alpha_prime**2
-        cos_t, normal, sin_t = _plane(self.a, self.a_prime)
-        forms = _product_forms(np.array([x]), np.array([y]), np.array([cos_t]))
-        return _SpecRelations(x, y, cos_t, normal, sin_t, forms)
 
     @functools.cached_property
     def _general_povm(self) -> Povm:
@@ -177,43 +163,6 @@ def _diagonals(a, a_prime, alpha, alpha_prime) -> _Diagonals:
         v_plus, v_minus, n_plus, n_minus, w_plus, w_minus, n_plus + n_minus,
         x + y - x * y * c * c, 0.25 * (w_plus - n_plus), 0.25 * (w_minus - n_minus),
     )
-
-
-class _SpecRelations(NamedTuple):
-    """The state-independent relation data of one spec."""
-
-    alpha_sq: float
-    alpha_prime_sq: float
-    cos_t: float  # a.a'
-    normal: np.ndarray  # a x a', normal to the measurement plane
-    sin_t: float  # |a x a'|
-    product_forms: dict  # ``_product_forms`` on a batch of one
-
-
-def _plane_normal(a, a_prime) -> np.ndarray:
-    """a x a' of two 3-vectors, written out: the same products and differences
-    as np.cross, in the same order, so the same bits, without its axis handling."""
-    (a1, a2, a3), (b1, b2, b3) = a.tolist(), a_prime.tolist()
-    return np.array([a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1])
-
-
-def _plane(a, a_prime) -> tuple[float, np.ndarray, float]:
-    """(a.a', a x a', |a x a'|) = (cos theta, normal, sin theta) of unit a, a'."""
-    normal = _plane_normal(a, a_prime)
-    return float(a @ a_prime), normal, float(_length(normal))
-
-
-def _product_forms(x, y, cos_t) -> dict:
-    """{relation_id: (lhs, rhs)} of the state-independent relations, over
-    arrays of alpha^2, alpha'^2 and cos(theta): (k - x)(k - y)/(x y) >=
-    sin^2(theta) with k = 1 (product_form) and k = 2 (cirelson_product)."""
-    xy = x * y
-    if not xy.all():  # alpha = 0, or alpha^2 alpha'^2 underflows
-        raise ZeroAlpha("the relations divide by alpha^2 alpha'^2, which is 0 here")
-    sin_sq = np.maximum(0.0, 1.0 - cos_t * cos_t)
-    with np.errstate(over="ignore"):  # a subnormal alpha^2 alpha'^2 gives an inf lhs
-        return {relation_id: ((k - x) * (k - y) / xy, sin_sq)
-                for relation_id, k in (("product_form", 1.0), ("cirelson_product", 2.0))}
 
 
 def _decide(d: _Diagonals) -> None:
@@ -356,17 +305,6 @@ def require_admissible(spec: JointSpec) -> None:
     """Raise BoundViolated (with the offending eigenvalue) for an
     inadmissible spec; cheap closed-form check."""
     _decide(spec._parallelogram)
-
-
-def _squares(v: np.ndarray) -> np.ndarray:
-    """v**2 by libm pow per element, as Python's ``**`` does it (not as ``v * v``)."""
-    return np.float_power(v, 2.0)
-
-
-def _joint_variance(alpha_sq, expectation: np.ndarray) -> np.ndarray:
-    """Var(A_J) = 1 - alpha^2 <A>^2 of the +-1 outcome that tracks A with
-    sharpness alpha, over an array of <A>; the bare Var(A) at alpha^2 = 1."""
-    return 1.0 - alpha_sq * _squares(expectation)
 
 
 def switch_realization(spec: JointSpec) -> SwitchRealization:

@@ -4,8 +4,9 @@ A ``Povm`` is an ordered, uniquely labelled set of outcome operators
 (t + r.sigma)/2, held only as one (k, 4) array of their real Pauli rows
 (t, r).  POVMs the package builds start from the rows, with no checks.
 A user-supplied matrix (``Effect(label, op)``, used by ``povm_from_json``)
-is kept as given after the full checks (shape, finite entries,
-Hermiticity), and its row is read from the same one read of its entries.
+is kept as given after the full checks (a hashable label, shape, finite
+entries, Hermiticity), and its row is read from the same one read of its
+entries.
 ``povm.effects`` yields one ``Effect`` per outcome; a package-built POVM
 makes their matrices from the rows only when asked (iteration,
 ``effect(label)``, JSON).  ``povm_to_json`` writes the bytes that
@@ -51,6 +52,10 @@ class Effect:
     op: np.ndarray
 
     def __post_init__(self):
+        try:
+            hash(self.label)  # Povm's duplicate-label check puts it in a set
+        except TypeError as exc:
+            raise ValueError(f"effect label {self.label!r} is not hashable") from exc
         m = np.array(self.op, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError(f"effect operator must be 2x2, got {m.shape}")

@@ -21,7 +21,7 @@ taken to 50 digits with ``decimal``.
 of some states as exact rationals, before any rounding or clamping.
 
 ``python_squares`` and ``python_random_bloch`` keep the element-by-element
-Python power loops that ``joint._squares`` and ``cli._random_bloch`` once
+Python power loops that ``uncertainty._squares`` and ``cli._random_bloch`` once
 ran, as the oracle for their ``np.float_power`` calls.
 
 ``reference_doc`` is the document ``povm_to_json`` once handed to
@@ -30,7 +30,7 @@ ran, as the oracle for their ``np.float_power`` calls.
 ``joint_variances`` is the variance report the package once exported,
 1 - alpha^2 <a.sigma>^2 next to the bare 1 - <a.sigma>^2, with <a.sigma>
 read as tr(rho a.sigma); ``bloch_vector`` reads m the same way.  The
-package writes Var(A_J) once, in ``joint._joint_variance``, for the
+package writes Var(A_J) once, in ``uncertainty._joint_variance``, for the
 ``total_joint`` and ``arthurs_goodman`` relations.
 
 ``numpy_is_hermitian`` is the Hermiticity test ``qubit.is_hermitian`` once

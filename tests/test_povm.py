@@ -629,3 +629,14 @@ def test_povm_rejects_duplicate_labels():
     e = Effect("+", 0.5 * ID2)
     with pytest.raises(ValueError):
         Povm((e, Effect("+", 0.5 * ID2)))
+
+
+@pytest.mark.parametrize("label", [["x"], ("x", ["y"]), {"x": 1}])
+def test_effect_refuses_an_unhashable_label(label):
+    with pytest.raises(ValueError, match="is not hashable"):
+        Effect(label, 0.5 * ID2)
+
+
+def test_int_labels_round_trip_through_json():
+    povm = Povm((Effect(1, 0.5 * ID2), Effect(2, 0.5 * ID2)))
+    assert povm_from_json(povm_to_json(povm)).labels == (1, 2)

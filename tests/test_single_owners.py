@@ -13,15 +13,20 @@ mask rather than by itself (``sample_indices`` keeps the public index
 lookup), the generator's name is spelled only in ``sampling.py``,
 "+"/"-" labels are read only by ``joint.outcome_values``, ``chsh --n``
 and ``signal`` share one two-analyzer run, and the measurement-plane
-normal a x a' is computed only in ``joint._plane_normal``, which only
-``joint._plane`` calls, for a spec's kept relation data
-(``JointSpec._relation_data``) and for the bare directions of the
-uncertainty kernel ``uncertainty._relations``.  That kernel has one call shape, (N, 4) state rows first and never ``None``,
-and checks no directions: in ``uncertainty.py`` only ``robertson`` and
+normal a x a' is computed only in ``uncertainty._plane_normal``, which
+only ``uncertainty._plane`` calls, for a spec's relations
+(``_spec_relations``) and for the bare directions of ``robertson`` and
+``schroedinger``.  The relations have one module: no module but
+``uncertainty.py`` defines a relation helper (the plane, the product
+forms, the squares, the joint variance), and ``joint.py`` spells no
+relation id.  The uncertainty kernel ``uncertainty._relations`` has one
+call shape, (N, 4) state rows first and never ``None``, and checks no
+directions: in ``uncertainty.py`` only ``robertson`` and
 ``schroedinger``, whose directions come from the caller, call ``unit3``.
 Powers of arrays are taken by libm pow per element through
-``np.float_power``, only in ``joint._squares`` and ``cli._random_bloch``,
-and no comprehension raises its own variable to a power.
+``np.float_power``, only in ``uncertainty._squares`` and
+``cli._random_bloch``, and no comprehension raises its own variable to a
+power.
 POVMs are row arrays: package code builds each one from its (k, 4) Pauli
 rows in ``Povm._from_coordinates``, and the checked constructors
 ``Effect(label, op)`` and ``Povm(effects)`` serve only matrices read by
@@ -76,6 +81,7 @@ import re
 from pathlib import Path
 
 import spinjoint
+from spinjoint import RELATION_IDS
 
 SRC = Path(spinjoint.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
@@ -90,7 +96,7 @@ OWNERS = {
     "searchsorted": ("sampling.py", "sample_indices"),
     "Philox": ("sampling.py", "SeededStream._reader"),
     "SeedSequence": ("sampling.py", "SeededStream._reader"),
-    "cross": ("joint.py", "_plane_normal"),
+    "cross": ("uncertainty.py", "_plane_normal"),
     "arange": ("joint.py", "_theta_grid"),
     "linspace": ("joint.py", "_theta_grid"),
 }
@@ -110,12 +116,14 @@ UNIFORMS_CALLERS = {("cli.py", "cmd_uncertainty")}
 SCAN_THETA = ("cli.py", "cmd_scan_theta")
 CLI_MAIN = ("cli.py", "main")
 JSON_WRITER = ("cli.py", "_emit_rows")
-PLANE_CALLERS = {("joint.py", "JointSpec._relation_data"), ("uncertainty.py", "_relations")}
+PLANE_CALLERS = {("uncertainty.py", "_spec_relations"), ("uncertainty.py", "robertson"),
+                 ("uncertainty.py", "schroedinger")}
+RELATION_HELPERS = {"_plane", "_plane_normal", "_product_forms", "_squares", "_joint_variance"}
 HERMITICITY_CALLERS = {("povm.py", "Effect.__post_init__"), ("qubit.py", "_density_matrix")}
 HERMITICITY = ("qubit.py", "is_hermitian")
 GAP_SCAN = ("scenarios.py", "min_cloning_gap")
 DIRECTION_CHECKS = {("uncertainty.py", "robertson"), ("uncertainty.py", "schroedinger")}
-POWER_CALLERS = {("joint.py", "_squares"), ("cli.py", "_random_bloch")}
+POWER_CALLERS = {("uncertainty.py", "_squares"), ("cli.py", "_random_bloch")}
 COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
 MEMBER_KINDS = (property, functools.cached_property, classmethod, staticmethod)
 LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp,
@@ -276,8 +284,21 @@ def test_theta_grid_is_one_batch():
 
 
 def test_plane_normal_has_one_caller():
-    assert _calls("_plane_normal") == [("joint.py", "_plane")]
+    assert _calls("_plane_normal") == [("uncertainty.py", "_plane")]
     assert set(_calls("_plane")) == PLANE_CALLERS
+
+
+def test_relations_have_one_module():
+    # a def, or a name bound by assignment
+    defined = [f"{path}:{node.lineno}" for path, _, node in _nodes()
+               if path != "uncertainty.py"
+               and (isinstance(node, ast.FunctionDef) and node.name in RELATION_HELPERS
+                    or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                    and node.id in RELATION_HELPERS)]
+    spelled = [f"joint.py:{node.lineno}: {node.value}" for path, _, node in _nodes()
+               if path == "joint.py" and isinstance(node, ast.Constant)
+               and node.value in RELATION_IDS]
+    assert defined + spelled == []
 
 
 def test_uncertainty_kernel_has_one_call_shape():

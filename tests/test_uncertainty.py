@@ -37,10 +37,9 @@ from spinjoint import (
     total_joint,
 )
 from spinjoint.cli import _random_bloch, main
-from spinjoint import joint as joint_module
-from spinjoint.joint import _plane_normal, _squares
+from spinjoint import uncertainty as uncertainty_module
 from spinjoint.sampling import SeededStream
-from spinjoint.uncertainty import _relations, _spec_relations
+from spinjoint.uncertainty import _plane_normal, _relations, _spec_relations, _squares
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -161,25 +160,36 @@ class _UnreadRows:
 )
 def test_kernel_refuses_a_spec_before_reading_a_row(spec, error):
     with pytest.raises(error):
-        _relations(_UnreadRows(), spec.a, spec.a_prime, spec)
+        _relations(_UnreadRows(), *_spec_relations(spec))
 
 
-def test_spec_relation_data_is_made_once_per_spec(monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "relation, spec, lhs, rhs",
+    [
+        (product_form, JointSpec(X, Z, 0.9, 0.9), 0.05502210028958996, 1.0),
+        (cirelson_product, JointSpec(X, Z, 0.9, 0.9), 2.1583600060966313, 1.0),
+        (product_form, JointSpec(Z, Z, 0.9, 0.9), 0.05502210028958996, 0.0),
+        (cirelson_product, JointSpec(Z, Z, 0.9, 0.9), 2.1583600060966313, 0.0),
+    ],
+    ids=["product-inadmissible", "cirelson-inadmissible", "product-collinear",
+         "cirelson-collinear"],
+)
+def test_state_independent_relations_refuse_only_a_zero_alpha(relation, spec, lhs, rhs):
+    # an inadmissible or collinear spec is reported, not refused: its slack
+    # says how far the spec sits from the bound
+    report = relation(spec)
+    assert (report.lhs, report.rhs, report.slack) == (lhs, rhs, lhs - rhs)
+
+
+def test_spec_relation_data_is_made_once_per_run(monkeypatch, capsys):
     made = []
-    forms = joint_module._product_forms
-    monkeypatch.setattr(joint_module, "_product_forms", lambda *args: made.append(args) or forms(*args))
+    forms = uncertainty_module._product_forms
+    monkeypatch.setattr(uncertainty_module, "_product_forms",
+                        lambda *args: made.append(args) or forms(*args))
     # the pre-draw refusals and the drawn rows share one evaluation
     assert main(["uncertainty", "--samples", "5"]) == 0
     assert len(made) == 1
-    spec = JointSpec(X, Z, 0.5, 0.5)
-    data = _spec_relations(spec)
-    for relation in (evaluate_all, total_joint, arthurs_goodman):
-        relation(spec, MIXED)
-    product_form(spec)
-    cirelson_product(spec)
-    assert len(made) == 2
-    assert spec._relation_data is data
-    # a refused spec keeps nothing, and is refused again on every call
+    # a refused spec is refused again on every call
     for _ in range(2):
         with pytest.raises(ZeroAlpha):
             _spec_relations(JointSpec(X, Z, 0.0, 0.5))
@@ -371,8 +381,9 @@ def test_kernel_rows_equal_batches_of_one():
         spec = random_admissible_spec(rng, min_sin=1e-2)
         states = [random_state(rng) if k % 2 else random_pure_state(rng) for k in range(50)]
         rows = np.array([state._pauli for state in states])
-        table = _relations(rows, spec.a, spec.a_prime, spec)
-        bare = _relations(rows, spec.a, spec.a_prime)
+        plane, spec_forms = _spec_relations(spec)
+        table = _relations(rows, plane, spec_forms)
+        bare = _relations(rows, plane)
         for k, state in enumerate(states):
             reports = evaluate_all(spec, state) + [
                 robertson(state, spec.a, spec.a_prime), schroedinger(state, spec.a, spec.a_prime)
