@@ -26,8 +26,8 @@ class InvalidState(SpinJointError):
 
 
 class NotSaturating(SpinJointError):
-    """The requested construction is defined only at equality of the
-    sharpness bound."""
+    """The construction is defined only on the sharpness boundary, where
+    both effect eigenvalues of the general family lie within TOL of 0."""
 
 
 class BoundViolated(SpinJointError):

@@ -11,10 +11,12 @@ equivalently  alpha^2 + alpha'^2 - alpha^2 alpha'^2 (a.a')^2 <= 1.
 Geometrically: the diagonals of the parallelogram with sides alpha a and
 alpha' a' must not sum to more than 2.
 
-This module builds the four-outcome measurement families realizing such
-joint measurements (the boundary-saturating one and the general
-admissible one) and the equivalent realization that measures sharply
-along one of two directions c, c' chosen by a classical coin of bias p.
+This module builds the four-outcome measurement family realizing such
+joint measurements, and the realization of a saturating one that
+measures sharply along one of two directions c, c' chosen by a classical
+coin of bias p.  A spec is classified on the family's effect eigenvalues
+(w+- - |v+-|)/4, which share the sign of 1 - product_form: refused below
+-TOL, saturating when both lie within TOL of 0, interior otherwise.
 The uncertainty relations that restate the bound are ``uncertainty.py``'s.
 """
 
@@ -90,7 +92,9 @@ class JointSpec:
         the spec is frozen, so every caller shares one validated POVM."""
         d = self._parallelogram
         _decide(d)
-        return _four_effects((d.w_plus, d.w_plus, d.w_minus, d.w_minus), d)
+        rows = np.column_stack([(d.w_plus, d.w_plus, d.w_minus, d.w_minus),
+                                (d.v_plus, -d.v_plus, d.v_minus, -d.v_minus)])
+        return Povm._from_coordinates(OUTCOME_LABELS, 0.5 * rows)  # (w +- v.sigma)/4
 
     @classmethod
     def from_angle(cls, theta: float, alpha: float, alpha_prime: float, a=(0, 0, 1)):
@@ -141,8 +145,8 @@ class _Diagonals(NamedTuple):
     n_minus: np.ndarray  # |v_minus|
     w_plus: np.ndarray  # 1 + alpha alpha' a.a'
     w_minus: np.ndarray  # 1 - alpha alpha' a.a'
-    diagonal_sum: np.ndarray  # admissible iff <= 2
-    product_form: np.ndarray  # admissible iff <= 1
+    diagonal_sum: np.ndarray  # reported: <= 2 on the admissible side
+    product_form: np.ndarray  # reported: <= 1 on the admissible side
     eig_plus: np.ndarray  # (w_plus - |v_plus|)/4, effects ++ and --
     eig_minus: np.ndarray  # (w_minus - |v_minus|)/4, effects +- and -+
 
@@ -179,11 +183,12 @@ def _decide(d: _Diagonals) -> None:
 
 
 def _require_saturating(d: _Diagonals, construction: str) -> None:
-    total = float(d.diagonal_sum)
-    if abs(total - 2.0) > TOL:
+    """The only saturation decision: both effect eigenvalues within TOL of 0."""
+    eig = max(abs(float(d.eig_plus)), abs(float(d.eig_minus)))
+    if not eig <= TOL:
         raise NotSaturating(
-            f"diagonal sum {total} != 2; the {construction} is defined "
-            "only at equality"
+            f"effect eigenvalue {eig} in modulus > {TOL}: the {construction} "
+            "is defined only on the sharpness boundary"
         )
 
 
@@ -240,24 +245,17 @@ def _theta_grid(points: int, half_turn: float = math.pi) -> np.ndarray:
     return np.arange(points) * half_turn / (points - 1)
 
 
-def _four_effects(weights, d: _Diagonals) -> Povm:
-    """Effects (w +- v.sigma)/4 for v = v_plus (++, --) and v_minus (+-, -+),
-    from their exact Pauli coordinates (t, r) = (w, +-v)/2."""
-    vectors = (d.v_plus, -d.v_plus, d.v_minus, -d.v_minus)
-    return Povm._from_coordinates(OUTCOME_LABELS, 0.5 * np.column_stack([weights, vectors]))
-
-
 def optimal_joint_povm(spec: JointSpec) -> Povm:
-    """Four-outcome measurement saturating the sharpness bound.
+    """Four-outcome measurement saturating the sharpness bound: the
+    spec's general family, the very POVM ``general_joint_povm`` returns.
 
-    Effects (|v+-| 1 +- v+- . sigma)/4 with v+ = alpha a + alpha' a',
-    v- = alpha a - alpha' a'.  They sum to (|v+| + |v-|)/2 times the
-    identity, so completeness holds exactly because the bound is
-    saturated; a non-saturating spec raises NotSaturating.
+    On the boundary its weights 1 +- alpha alpha' a.a' equal |v+-|, so the
+    effects are (|v+-| 1 +- v+- . sigma)/4 with v+- = alpha a +- alpha' a'.
+    A spec whose effect eigenvalues are not both within TOL of 0 raises
+    NotSaturating.
     """
-    d = spec._parallelogram
-    _require_saturating(d, "saturating four-outcome family")
-    return _four_effects((d.n_plus, d.n_plus, d.n_minus, d.n_minus), d)
+    _require_saturating(spec._parallelogram, "saturating four-outcome family")
+    return spec._general_povm
 
 
 def general_joint_povm(spec: JointSpec) -> Povm:
@@ -266,8 +264,8 @@ def general_joint_povm(spec: JointSpec) -> Povm:
     Effects ((1 +- alpha alpha' a.a') 1 +- v+- . sigma)/4.  Completeness
     holds identically; positivity of the constructed operators is exactly
     the admissibility bound, and an inadmissible spec raises
-    BoundViolated carrying the offending eigenvalue.  At saturation this
-    family coincides with ``optimal_joint_povm``.
+    BoundViolated carrying the offending eigenvalue.  At saturation
+    ``optimal_joint_povm`` returns this same POVM.
 
     Built once per spec and kept on it; later calls return the same POVM.
     """
@@ -311,8 +309,9 @@ def switch_realization(spec: JointSpec) -> SwitchRealization:
     """Coin bias and sharp directions reproducing the saturating family.
 
     p = |alpha a + alpha' a'| / 2, c and c_prime the normalized diagonal
-    directions.  Defined only at saturation; vanishing diagonals (e.g.
-    alpha = alpha' with a = a') raise DegenerateDirection.
+    directions.  Defined only at saturation (else NotSaturating);
+    vanishing diagonals (e.g. alpha = alpha' with a = a') raise
+    DegenerateDirection.
     """
     d = spec._parallelogram
     _require_saturating(d, "switch realization")

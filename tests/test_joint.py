@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -15,6 +15,7 @@ from helpers import (
     bloch_vector,
     boundary_alphas,
     dense_admissibility,
+    dense_joint_effects,
     exact_admissible,
     exact_eigenvalues,
     exact_probabilities,
@@ -362,6 +363,64 @@ def test_optimal_joint_povm_requires_saturation():
         optimal_joint_povm(JointSpec(X, Z, 0.5, 0.5))
 
 
+def _right_angle_spec(k):
+    """theta = pi/2 and alpha = alpha' = (1 + k 5e-11)/sqrt(2): the diagonal
+    sum is 2 + k 1e-10 and both effect eigenvalues are -k 1.25e-11."""
+    alpha = (1.0 + k * 5e-11) / SQ2
+    return JointSpec.from_angle(math.pi / 2, alpha, alpha)
+
+
+def _root_alphas(theta, alpha, k):
+    """alpha and its boundary root sqrt((1 - alpha^2)/(1 - alpha^2 cos^2 theta)),
+    both scaled by 1 + k 1e-11."""
+    root = math.sqrt((1.0 - alpha**2) / (1.0 - (alpha * math.cos(theta)) ** 2))
+    scale = 1.0 + k * 1e-11
+    return scale * alpha, scale * root
+
+
+@st.composite
+def boundary_root_specs(draw):
+    """``_root_alphas`` for alpha log-uniform in [1e-7, 1], theta in (0, pi)
+    and k in [-100, 100], with a random first direction."""
+    alpha = 10.0 ** draw(st.floats(-7.0, 0.0))
+    theta = draw(st.floats(0.0, math.pi, exclude_min=True, exclude_max=True))
+    assume(alpha * abs(math.cos(theta)) < 1.0)
+    alphas = _root_alphas(theta, alpha, draw(st.floats(-100.0, 100.0)))
+    assume(max(alphas) <= 1.0 + ATOL)
+    return JointSpec.from_angle(theta, *alphas, _unit_rows(draw, 1)[0])
+
+
+@given(boundary_root_specs())
+# admitted past the boundary, with the diagonal sum more than TOL above 2
+@example(_right_angle_spec(2.0))
+@example(_right_angle_spec(4.0))
+@example(_right_angle_spec(7.9))
+# eigenvalues 1.8e-11 and 2.8e-10: interior, though the smaller is within TOL
+@example(JointSpec.from_angle(0.1, *_root_alphas(0.1, 0.9, -60.0)))
+@settings(deadline=None, max_examples=300)
+def test_saturation_is_read_from_both_effect_eigenvalues(spec):
+    if not is_admissible(spec):
+        return
+    saturating = max(map(abs, general_effect_min_eigenvalues(spec))) <= TOL
+    try:
+        optimal = optimal_joint_povm(spec)
+    except NotSaturating:
+        optimal = None
+    assert (optimal is not None) == saturating
+    # an admitted spec on or past the boundary in exact arithmetic saturates it
+    assert optimal is not None or max(exact_eigenvalues(spec)) > 0
+    if optimal is None:
+        return
+    assert validate(optimal).passes
+    try:
+        realization = switch_realization(spec)
+    except DegenerateDirection:
+        return
+    rebuilt = switch_povm(realization)
+    assert validate(rebuilt).passes
+    assert np.max(np.abs(rebuilt._pauli - optimal._pauli)) <= 4 * TOL
+
+
 def test_general_joint_povm_interior_weights():
     povm = general_joint_povm(JointSpec(X, Z, 0.5, 0.5))
     for label in ("++", "--", "+-", "-+"):
@@ -370,13 +429,15 @@ def test_general_joint_povm_interior_weights():
 
 
 def test_general_equals_optimal_at_saturation():
+    # optimal_joint_povm returns the general family; the paper's |v+-|-weighted
+    # effects (|v+-| 1 +- v+- . sigma)/4, built densely, check it independently
     rng = np.random.default_rng(31)
     for _ in range(30):
         spec = random_saturating_spec(rng)
-        general = general_joint_povm(spec)
         optimal = optimal_joint_povm(spec)
-        for label in ("++", "--", "+-", "-+"):
-            assert np.max(np.abs(general.effect(label).op - optimal.effect(label).op)) <= 1e-12
+        assert optimal is general_joint_povm(spec)
+        for effect, paper in zip(optimal, dense_joint_effects(spec, optimal=True)):
+            assert np.max(np.abs(effect.op - paper)) <= 1e-12
 
 
 def test_general_joint_povm_bound_violated():

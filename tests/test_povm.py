@@ -320,7 +320,8 @@ def _package_built_povms(rng):
     u = random_unit(rng)
     return [
         (general_joint_povm(spec), dense_joint_effects(spec)),
-        (optimal_joint_povm(saturating), dense_joint_effects(saturating, optimal=True)),
+        # the general family's weights: at saturation optimal_joint_povm returns it
+        (optimal_joint_povm(saturating), dense_joint_effects(saturating)),
         (switch_povm(realization), dense_switch_effects(realization)),
         (projective_povm(u), [dense_projector(u, 1), dense_projector(u, -1)]),
     ]
@@ -396,9 +397,9 @@ POVM_JSON_MANIFEST = {
     "general-2": "5ed9613d8fad33c5c1b9a6e0dcd05b2dd448212d4e936973346c7fbdf2167d36",
     "general-3": "874a77a6640c0616eb2b32a5cbc1b6ebe90ac89c1ddfa540526e04a10729e4b3",
     "json-labels": "ad14160018672c912f2c79871e2a26e07dd964ee71567d49be198f4e53afc526",
-    "optimal-1": "afa7a06a56409e8238f4c4cc63b431b15575d408c4f3792cf97431e65a96af34",
+    "optimal-1": "eb05a1e721367babe258e026cedee9a886de6b2cfca728cbae5e7cc7467cfa9f",
     "optimal-2": "0e7257a8dbd976df40f71174470ea051e398f945874daf8efbed743c05c9b65f",
-    "optimal-3": "2c88e46fcf68313b2b3bdf93bbf006b0d1bebb946566e17df03a28a25ef30779",
+    "optimal-3": "7b7b18107d9220ed6ea9033a1201e3a215c60d4f58e0b262f0c20a949fe256de",
     "projective-1": "aee961350e532be9b04c77f04a1c1835220b1b6a71aa556488ed182765ddb5df",
     "projective-2": "271bb54a3b3b7ea1fde6138d7b480bd29d28d57f78e5553e85a6eac4eeefde09",
     "projective-3": "aadab7b8c97f73faafe3acfeb937f7ef63f4771d270e86691d6f26a0cd2967a9",

@@ -47,6 +47,15 @@ caller of ``_sigma``, which only ``Povm.effects`` and ``QubitState.rho``
 call, on first use, and eigenvalues come from coordinates
 (``_coordinate_eigenvalues``) only in ``Povm._report`` and
 ``QubitState.__init__``.
+A spec is classified once, on its two effect eigenvalues ``eig_plus``
+and ``eig_minus``: in ``joint.py`` only ``_decide`` (refused below -TOL)
+and ``_require_saturating`` (saturating when both lie within TOL of 0)
+read ``TOL``, no comparison takes the diagonal sum or the product form,
+and only the reporters ``bound_lhs``, ``product_form_check``,
+``admissibility_scan`` and ``_decide``'s ``BoundViolated`` message read
+them.  The four-outcome joint family is built only in
+``JointSpec._general_povm``; ``switch_povm`` is the one other function
+that reads ``OUTCOME_LABELS``.
 The theta grid i * pi / (P - 1) is built only in ``joint._theta_grid``,
 called only by ``cli.cmd_scan_theta`` and ``scenarios.min_cloning_gap``,
 which go over the grid as arrays: ``cmd_scan_theta`` builds no
@@ -119,6 +128,11 @@ JSON_WRITER = ("cli.py", "_emit_rows")
 PLANE_CALLERS = {("uncertainty.py", "_spec_relations"), ("uncertainty.py", "robertson"),
                  ("uncertainty.py", "schroedinger")}
 RELATION_HELPERS = {"_plane", "_plane_normal", "_product_forms", "_squares", "_joint_variance"}
+SPEC_CLASSIFIERS = {("joint.py", "_decide"), ("joint.py", "_require_saturating")}
+REPORTED = {"diagonal_sum", "product_form"}
+REPORTERS = {("joint.py", "bound_lhs"), ("joint.py", "product_form_check"),
+             ("joint.py", "admissibility_scan"), ("joint.py", "_decide")}
+LABEL_BUILDERS = {("joint.py", "JointSpec._general_povm"), ("joint.py", "switch_povm")}
 HERMITICITY_CALLERS = {("povm.py", "Effect.__post_init__"), ("qubit.py", "_density_matrix")}
 HERMITICITY = ("qubit.py", "is_hermitian")
 GAP_SCAN = ("scenarios.py", "min_cloning_gap")
@@ -286,6 +300,27 @@ def test_theta_grid_is_one_batch():
 def test_plane_normal_has_one_caller():
     assert _calls("_plane_normal") == [("uncertainty.py", "_plane")]
     assert set(_calls("_plane")) == PLANE_CALLERS
+
+
+def _joint_reads(names):
+    """(module file, scope) of every read of one of ``names`` in ``joint.py``."""
+    return {(path, func) for path, func, node in _nodes()
+            if path == "joint.py" and isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load) and _name(node) in names}
+
+
+def test_one_classification_of_a_spec():
+    assert _joint_reads({"TOL"}) == SPEC_CLASSIFIERS
+    assert SPEC_CLASSIFIERS <= _joint_reads({"eig_plus"}) & _joint_reads({"eig_minus"})
+    compared = [f"joint.py:{node.lineno} in {func}" for path, func, node in _nodes()
+                if path == "joint.py" and isinstance(node, ast.Compare)
+                and REPORTED & {_name(n) for n in ast.walk(node)}]
+    assert compared == []
+    assert _joint_reads(REPORTED) <= REPORTERS
+    label_reads = {(path, func) for path, func, node in _nodes()
+                   if isinstance(node, ast.Name) and node.id == "OUTCOME_LABELS"
+                   and isinstance(node.ctx, ast.Load)}
+    assert label_reads == LABEL_BUILDERS
 
 
 def test_relations_have_one_module():
