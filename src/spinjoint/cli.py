@@ -9,11 +9,13 @@ the stochastic subcommands): reruns are byte-identical.
 Exit codes: 0 success, 1 domain violation, 2 usage error.  An exit 1 is
 a library refusal of the spec (``SpinJointError``), a failed ``validate``
 check or ``signal``'s |z| >= 5: ``cli.py`` compares nothing with a
-tolerance.  Each ``cmd_*`` is a function of the
-parsed flags alone: a usage error it finds while it runs (conflicting
-flags, a zero sharpness for ``uncertainty``, an unwritable ``--out``) is
-raised as ``argparse.ArgumentTypeError`` or ``ZeroAlpha``, and ``main``
-prints it with the usage message and exits 2.
+tolerance.  argparse refuses ``--a-prime`` with ``--theta-deg`` (one
+mutually exclusive group).  Each ``cmd_*`` is a function of the parsed
+flags alone: a usage error it finds while it runs (an ``--alpha`` and
+``--alpha-prime`` mix, a zero sharpness for ``uncertainty``, an
+unwritable ``--out``) is raised as ``argparse.ArgumentTypeError`` or
+``ZeroAlpha``, and ``main`` prints it under the subcommand's usage line,
+as argparse prints its own errors, and exits 2.
 """
 
 from __future__ import annotations
@@ -123,11 +125,12 @@ def _add_spec_flags(sub: argparse.ArgumentParser) -> None:
     # parse, so calls sharing the cached parser never share an array
     sub.add_argument("--a", type=_direction, default="0,0,1",
                      help="first direction, comma-separated floats (normalized)")
-    sub.add_argument("--a-prime", type=_direction, default=None,
-                     help="second direction (alternative to --theta-deg)")
-    sub.add_argument("--theta-deg", type=_degrees, default=None,
-                     help="angle between directions; places a' in the plane "
-                          "of a and the x axis (default 90)")
+    direction = sub.add_mutually_exclusive_group()
+    direction.add_argument("--a-prime", type=_direction, default=None,
+                           help="second direction (alternative to --theta-deg)")
+    direction.add_argument("--theta-deg", type=_degrees, default=None,
+                           help="angle between directions; places a' in the plane "
+                                "of a and the x axis (default 90)")
     sub.add_argument("--alpha", type=_alpha, default="optimal-symmetric",
                      help="sharpness of the first observable, or "
                           "'optimal-symmetric' (default)")
@@ -143,8 +146,6 @@ def _add_output_flags(sub: argparse.ArgumentParser, default_format: str) -> None
 
 
 def _resolve_spec(args) -> JointSpec:
-    if args.a_prime is not None and args.theta_deg is not None:
-        raise argparse.ArgumentTypeError("--a-prime and --theta-deg are mutually exclusive")
     alpha = args.alpha
     alpha_prime = args.alpha_prime if args.alpha_prime is not None else alpha
     optimal = alpha == "optimal-symmetric"
@@ -161,12 +162,9 @@ def _resolve_spec(args) -> JointSpec:
     return JointSpec.from_angle(theta, alpha, alpha_prime, a=args.a)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    if value is None:
-        return ""
-    return str(value)
+def _fmt(value):
+    # the one cell csv.writer cannot write itself: a float, to 17 digits
+    return f"{value:.17g}" if isinstance(value, float) else value
 
 
 def _emit(args, text: str) -> None:
@@ -381,19 +379,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("validate", help="check admissibility and the generated measurement")
     _add_spec_flags(p)
     _add_output_flags(p, "json")
-    p.set_defaults(func=cmd_validate)
+    p.set_defaults(func=cmd_validate, usage=p)
 
     p = subs.add_parser("scan-theta", help="sweep the angle; optimal sharpness and gaps")
     p.add_argument("--points", type=_int_at_least(2), default=181)
     _add_output_flags(p, "csv")
-    p.set_defaults(func=cmd_scan_theta)
+    p.set_defaults(func=cmd_scan_theta, usage=p)
 
     p = subs.add_parser("chsh", help="CHSH-type combination at optimal settings")
     _add_spec_flags(p)
     p.add_argument("--n", type=_int_at_least(1), default=None, help="also sample empirically")
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     _add_output_flags(p, "json")
-    p.set_defaults(func=cmd_chsh)
+    p.set_defaults(func=cmd_chsh, usage=p)
 
     p = subs.add_parser("sample", help="draw outcomes of the joint measurement")
     _add_spec_flags(p)
@@ -402,21 +400,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=_int_at_least(0), required=True)
     _add_output_flags(p, "csv")
-    p.set_defaults(func=cmd_sample)
+    p.set_defaults(func=cmd_sample, usage=p)
 
     p = subs.add_parser("signal", help="Monte Carlo no-signalling experiment")
     _add_spec_flags(p)
     p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=_int_at_least(0), required=True)
     _add_output_flags(p, "json")
-    p.set_defaults(func=cmd_signal)
+    p.set_defaults(func=cmd_signal, usage=p)
 
     p = subs.add_parser("uncertainty", help="evaluate all variance bounds on random states")
     _add_spec_flags(p)
     p.add_argument("--samples", type=_int_at_least(1), default=1000)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     _add_output_flags(p, "csv")
-    p.set_defaults(func=cmd_uncertainty)
+    p.set_defaults(func=cmd_uncertainty, usage=p)
 
     p = subs.add_parser("bb84", help="joint-measurement eavesdropper study")
     p.add_argument("--theta-deg", type=_degrees, default=None,
@@ -424,24 +422,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_at_least(1), required=True, help="trials per basis/bit cell")
     p.add_argument("--seed", type=_int_at_least(0), required=True)
     _add_output_flags(p, "csv")
-    p.set_defaults(func=cmd_bb84)
+    p.set_defaults(func=cmd_bb84, usage=p)
 
     p = subs.add_parser("cloning", help="cloning sharpness versus the admissible optimum")
     p.add_argument("--theta-deg", type=_degrees, default=None)
     p.add_argument("--eta", type=float, default=CLONER_ETA_MAX)
     _add_output_flags(p, "json")
-    p.set_defaults(func=cmd_cloning)
+    p.set_defaults(func=cmd_cloning, usage=p)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (argparse.ArgumentTypeError, ZeroAlpha) as exc:
-        parser.error(str(exc))
+        args.usage.error(str(exc))
     except SpinJointError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

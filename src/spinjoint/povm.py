@@ -246,9 +246,8 @@ def povm_from_json(text: str) -> Povm:
     try:
         effects = []
         for item in doc["effects"]:
-            entries = [complex(re, im) for re, im in item["op"]]
-            op = np.array(entries, dtype=complex).reshape(2, 2)  # 4 entries, or ValueError
-            effects.append(Effect(item["label"], op))
+            entries = [complex(re, im) for re, im in item["op"]]  # 2x2 only from 4 entries
+            effects.append(Effect(item["label"], [entries[:2], entries[2:]]))
         return Povm(tuple(effects))
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed POVM document: {exc!r}") from exc

@@ -256,7 +256,7 @@ def test_cli_crash_contract(argv):
     assert "Traceback" not in err
     if code == 2:
         assert out == ""
-        assert err.startswith("usage: spinjoint")
+        assert err.startswith(f"usage: spinjoint {argv[0]} ")
         return
     # --out FILE gets the bytes stdout got, and nothing else changes
     with tempfile.TemporaryDirectory() as tmp:
@@ -301,20 +301,36 @@ def test_same_seed_gives_the_same_bytes(argv):
     assert _contained_run(argv) == _contained_run(argv)
 
 
-# a usage error found while a command runs prints the top-level usage line,
-# wrapped as argparse wraps it at 80 columns
-TOP_USAGE = (
-    "usage: spinjoint [-h]\n"
-    "                 {validate,scan-theta,chsh,sample,signal,uncertainty,bb84,cloning}\n"
-    "                 ...\n"
-)
+# a usage error found while a command runs prints the subcommand's usage
+# line, as argparse's own errors do, wrapped as argparse wraps it at 80 columns
+USAGE = {
+    "validate": (
+        "usage: spinjoint validate [-h] [--a A]\n"
+        "                          [--a-prime A_PRIME | --theta-deg THETA_DEG]\n"
+        "                          [--alpha ALPHA] [--alpha-prime ALPHA_PRIME]\n"
+        "                          [--out OUT] [--format {csv,json}]\n"
+    ),
+    "chsh": (
+        "usage: spinjoint chsh [-h] [--a A] [--a-prime A_PRIME | --theta-deg THETA_DEG]\n"
+        "                      [--alpha ALPHA] [--alpha-prime ALPHA_PRIME] [--n N]\n"
+        "                      [--seed SEED] [--out OUT] [--format {csv,json}]\n"
+    ),
+    "uncertainty": (
+        "usage: spinjoint uncertainty [-h] [--a A]\n"
+        "                             [--a-prime A_PRIME | --theta-deg THETA_DEG]\n"
+        "                             [--alpha ALPHA] [--alpha-prime ALPHA_PRIME]\n"
+        "                             [--samples SAMPLES] [--seed SEED] [--out OUT]\n"
+        "                             [--format {csv,json}]\n"
+    ),
+}
 
 
 @pytest.mark.parametrize(
     "argv, message",
     [
+        # refused by argparse's mutually exclusive group while it parses
         (["validate", "--a-prime", "1,0,0", "--theta-deg", "45"],
-         "--a-prime and --theta-deg are mutually exclusive"),
+         "argument --theta-deg: not allowed with argument --a-prime"),
         (["chsh", "--alpha-prime", "0.3"],
          "--alpha and --alpha-prime: two numbers or 'optimal-symmetric' for both"),
         (["uncertainty", "--alpha", "0", "--alpha-prime", "0"],
@@ -330,7 +346,9 @@ def test_usage_errors_found_by_a_command_print_this_text(tmp_path, capsys, monke
     out = capsys.readouterr()
     assert excinfo.value.code == 2
     assert out.out == ""
-    assert out.err == TOP_USAGE + "spinjoint: error: " + message.format(tmp=tmp_path) + "\n"
+    command = argv[0]
+    assert out.err == (USAGE[command] + f"spinjoint {command}: error: "
+                       + message.format(tmp=tmp_path) + "\n")
 
 
 def _must_not_run(*args):
@@ -355,8 +373,8 @@ def test_no_draws_fixture_catches_a_draw(no_draws):
 BOUND_VIOLATED = ("error: BoundViolated: effect eigenvalue -0.10355339059327379 < 0: "
                   "sharpness bound exceeded (diagonal sum 2.82842712474619 > 2)\n")
 COLLINEAR = "error: CollinearDirections: a and a_prime are (anti)parallel\n"
-ZERO_ALPHA = (TOP_USAGE + "spinjoint: error: the relations divide by alpha^2 alpha'^2, "
-              "which is 0 here\n")
+ZERO_ALPHA = (USAGE["uncertainty"] + "spinjoint uncertainty: error: the relations divide by "
+              "alpha^2 alpha'^2, which is 0 here\n")
 
 
 @pytest.mark.parametrize(

@@ -613,6 +613,8 @@ HALF = [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]
         '{"effects": [{"op": %s}]}' % json.dumps(HALF),
         '{"effects": [{"label": "x"}]}',
         '{"effects": [{"label": "x", "op": [1, 2, 3, 4]}]}',
+        '{"effects": [{"label": "x", "op": %s}]}' % json.dumps(HALF[:2]),  # 2 entries
+        '{"effects": [{"label": "x", "op": %s}]}' % json.dumps(HALF * 2),  # 8 entries
         '{"effects": [{"label": "x", "op": [["x", 0], [0, 0], [0, 0], [1, 0]]}]}',
         '{"effects": [{"label": "x", "op": [[1e999, 0], [0, 0], [0, 0], [1, 0]]}]}',
         '{"effects": [{"label": "x", "op": [[1%s, 0], [0, 0], [0, 0], [1, 0]]}]}' % ("0" * 400),

@@ -62,9 +62,9 @@ which go over the grid as arrays: ``cmd_scan_theta`` builds no
 ``JointSpec`` and calls no ``product_form``, and ``min_cloning_gap`` calls
 ``cloning_joint`` once, outside any loop.
 Each CLI command is a function of its parsed flags alone: no ``cmd_*``
-takes the parser, a usage error becomes exit 2 only through
-``parser.error`` in ``cli.main`` (the one caller of ``build_parser`` in
-``cli.py``), and ``cmd_validate`` takes its admissibility verdict from the
+takes the parser, a usage error a command raises becomes exit 2 only
+through the subcommand parser's ``error`` in ``cli.main`` (the one caller
+of ``build_parser`` in ``cli.py``), and ``cmd_validate`` takes its admissibility verdict from the
 one ``general_joint_povm`` call, never from ``is_admissible`` or
 ``require_admissible``.  ``cli.py`` reads neither ``TOL`` nor ``ATOL``, so
 every exit 1 about a spec is a library refusal, never a second verdict.
