@@ -15,7 +15,15 @@ flags alone: a usage error it finds while it runs (an ``--alpha`` and
 ``--alpha-prime`` mix, a zero sharpness for ``uncertainty``, an
 unwritable ``--out``) is raised as ``argparse.ArgumentTypeError`` or
 ``ZeroAlpha``, and ``main`` prints it under the subcommand's usage line,
-as argparse prints its own errors, and exits 2.
+as argparse prints its own errors, and exits 2; so does an argument left
+over after the subcommand (one before it gets the top-level usage line).
+
+Every output goes through one writer, ``_write``: a record or blocks of
+named columns in, csv (``csv.writer``, floats as ``"%.17g"``) or the text
+``json.dumps(indent=2)`` would give (floats as ``float.__repr__``) out, to
+stdout or to the ``--out`` file it opens once.  ``uncertainty`` and
+``scan-theta`` hand it ``_ROWS`` rows at a time, so their memory does not
+grow with ``--samples`` or ``--points``.
 """
 
 from __future__ import annotations
@@ -23,10 +31,12 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
+import itertools
 import json
 import math
+import os
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -103,7 +113,7 @@ def _degrees(text: str) -> float:
 
 def _out_path(text: str) -> Path:
     # a missing directory is caught here, before the command runs; other
-    # write errors (permissions, a directory as target) surface in _emit
+    # write errors (permissions, a directory as target) surface in _write
     path = Path(text)
     if not path.parent.is_dir():
         raise argparse.ArgumentTypeError(f"cannot write {text}: no directory {path.parent}")
@@ -162,36 +172,107 @@ def _resolve_spec(args) -> JointSpec:
     return JointSpec.from_angle(theta, alpha, alpha_prime, a=args.a)
 
 
-def _fmt(value):
-    # the one cell csv.writer cannot write itself: a float, to 17 digits
-    return f"{value:.17g}" if isinstance(value, float) else value
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _emit(args, text: str) -> None:
+def _json_float(value: float) -> str:
+    """json's float text: ``float.__repr__``, json's own words for nan and inf."""
+    text = float.__repr__(value)
+    return _JSON_NONFINITE.get(text, text)
+
+
+# each format's one float text; csv's 17 significant digits pin a float's bits
+_FLOAT_TEXT = {"csv": "%.17g".__mod__, "json": _json_float}
+
+# rows per block of uncertainty samples and scan-theta angles: the traced
+# peak of a block of uncertainty samples (24 cells each) is about 3.3 KB a
+# sample, so about 3 MB, and blocks of 2^10, 2^12 and 2^14 rows ran equally
+# fast, so the per-block numpy calls and stream set-up cost nothing measurable
+_ROWS = 1 << 10
+
+
+def _row_ranges(rows: int):
+    """(start, stop) of consecutive blocks of at most ``_ROWS`` rows."""
+    return ((start, min(start + _ROWS, rows)) for start in range(0, rows, _ROWS))
+
+
+def _cell(value, fmt: str, depth: int):
+    """One cell as written: a float in its format's float text, a json value
+    as ``json.dumps(indent=2)`` writes it at this depth, and any other csv
+    cell as given, for csv.writer to write."""
+    if isinstance(value, float):
+        return _FLOAT_TEXT[fmt](value)
+    if fmt == "csv":
+        return value
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, dict):  # sample's metadata and counts
+        return _json_object(value, depth) % tuple(_cell(v, fmt, depth + 1) for v in value.values())
+    return json.dumps(value)  # an int, a bool or None
+
+
+def _json_object(keys, depth: int) -> str:
+    """``json.dumps(indent=2)``'s layout of a non-empty object at this depth, a %s per value."""
+    pad = "\n" + "  " * depth
+    names = (encode_basestring_ascii(key).replace("%", "%%") for key in keys)
+    return "{" + ",".join(f"{pad}  {name}: %s" for name in names) + pad + "}"
+
+
+def _cells(column, fmt: str, depth: int) -> list:
+    """A column's cells: a float array in one pass of its format's float
+    text, any other column cell by cell."""
+    if isinstance(column, np.ndarray):
+        return list(map(_FLOAT_TEXT[fmt], column.tolist()))
+    return [_cell(value, fmt, depth) for value in column]
+
+
+def _write(args, table, head: str = "") -> None:
+    """The CLI's one writer: ``table`` to stdout, or to the --out file, opened
+    once here, after the command's refusals and before the first row.
+
+    ``table`` is one record, a dict of cells (a json object, one csv row),
+    or an iterable of blocks, dicts of equal-length columns (a json array of
+    one object per row).  Each block becomes text as it arrives, so memory
+    follows one block, not the output."""
     if args.out is None:
-        sys.stdout.write(text)
+        try:
+            _write_table(sys.stdout, args.format, table, head)
+        except BrokenPipeError:  # the reader stopped early, as `| head` does
+            # end quietly: what stdout still buffers goes to devnull at exit
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return
     try:
-        args.out.write_text(text)
+        with args.out.open("w") as out:
+            _write_table(out, args.format, table, head)
     except OSError as exc:
         raise argparse.ArgumentTypeError(f"cannot write --out {args.out}: {exc.strerror}") from exc
 
 
-def _csv_text(rows: list[dict]) -> str:
-    """The CLI's one csv writer: a header of the first row's keys, then the rows."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(rows[0].keys())
-    writer.writerows([_fmt(v) for v in row.values()] for row in rows)
-    return buf.getvalue()
-
-
-def _emit_rows(args, rows: list[dict] | dict) -> None:
-    """Rows, or one record (a dict): json as given, csv one line per dict."""
-    if args.format == "json":
-        _emit(args, json.dumps(rows, indent=2) + "\n")
-    else:
-        _emit(args, _csv_text([rows] if isinstance(rows, dict) else rows))
+def _write_table(out, fmt: str, table, head: str) -> None:
+    """csv: ``head``, a header of the first block's keys, then the rows
+    through csv.writer; json: each row through one template in
+    ``json.dumps(indent=2)``'s layout, the same text it writes."""
+    record = isinstance(table, dict)
+    blocks = iter([{key: [value] for key, value in table.items()}] if record else table)
+    first = next(blocks)
+    depth = 0 if record else 1
+    rows = (zip(*(_cells(column, fmt, depth + 1) for column in block.values()))
+            for block in itertools.chain([first], blocks))
+    if fmt == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        out.write(head)
+        writer.writerow(first)
+        for block in rows:
+            writer.writerows(block)
+        return
+    template = _json_object(first, depth).__mod__
+    opening, between, closing = ("", "", "\n") if record else ("[\n  ", ",\n  ", "\n]\n")
+    out.write(opening)
+    for i, block in enumerate(rows):
+        out.write((between if i else "") + between.join(map(template, block)))
+    out.write(closing)
 
 
 def cmd_validate(args) -> int:
@@ -216,25 +297,28 @@ def cmd_validate(args) -> int:
     else:
         record["completeness_defect"] = report.completeness_defect
         record["error"] = "; ".join(report.failures)
-    _emit_rows(args, record)
+    _write(args, record)
     return 1 if record["error"] else 0
 
 
-def cmd_scan_theta(args) -> int:
-    theta = _theta_grid(args.points)
+def _scan_theta_block(points: int, start: int, stop: int) -> dict:
+    """Rows [start, stop) of the theta grid of ``points`` angles."""
+    theta = _theta_grid(points, start=start, stop=stop)
     alpha = max_symmetric_alpha(theta)
     x = _squares(alpha)
     # JointSpec.from_angle with its default a = z puts a' at (sin theta, 0, cos theta),
     # so a.a' is cos(theta) bit for bit: one kernel call, no spec per angle
     lhs, rhs = _product_forms(x, x, np.cos(theta))["product_form"]
-    columns = {
-        "theta_deg": _theta_grid(args.points, 180.0),
+    return {
+        "theta_deg": _theta_grid(points, 180.0, start=start, stop=stop),
         "alpha_max": alpha,
         "boundary_slack": lhs - rhs,
         "cloning_gap": alpha - CLONER_ETA_MAX,
     }
-    rows = [dict(zip(columns, row)) for row in zip(*(v.tolist() for v in columns.values()))]
-    _emit_rows(args, rows)
+
+
+def cmd_scan_theta(args) -> int:
+    _write(args, (_scan_theta_block(args.points, *rows) for rows in _row_ranges(args.points)))
     return 0
 
 
@@ -249,8 +333,8 @@ def cmd_chsh(args) -> int:
         "e_apb": corr.e_apb,
         "e_abp": corr.e_abp,
         "e_apbp": corr.e_apbp,
-        "b": ",".join(_fmt(x) for x in settings.b),
-        "b_prime": ",".join(_fmt(x) for x in settings.b_prime),
+        "b": ",".join(map(_FLOAT_TEXT["csv"], settings.b.tolist())),
+        "b_prime": ",".join(map(_FLOAT_TEXT["csv"], settings.b_prime.tolist())),
         "sharp_reference": sharp_ref,
     }
     if args.n is not None:
@@ -260,7 +344,7 @@ def cmd_chsh(args) -> int:
         record["chsh_empirical"] = chsh_value(CorrelationSet(*empirical))
         record["n"] = args.n
         record["seed"] = args.seed
-    _emit_rows(args, record)
+    _write(args, record)
     return 0
 
 
@@ -272,12 +356,13 @@ def cmd_sample(args) -> int:
     stats = sample_povm(povm, state, args.n, stream)
     meta = stream.metadata(args.n)
     if args.format == "json":
-        _emit_rows(args, {"metadata": meta, "counts": stats.counts, "mean": stats.mean,
-                          "variance": stats.variance, "stderr": stats.stderr})
+        _write(args, {"metadata": meta, "counts": stats.counts, "mean": stats.mean,
+                      "variance": stats.variance, "stderr": stats.stderr})
     else:
-        counts = stats.counts.items()
-        rows = [{"label": k, "count": c, "frequency": c / stats.n} for k, c in counts]
-        _emit(args, "# " + json.dumps(meta, sort_keys=True) + "\n" + _csv_text(rows))
+        counts = stats.counts
+        block = {"label": list(counts), "count": list(counts.values()),
+                 "frequency": [c / stats.n for c in counts.values()]}
+        _write(args, [block], head="# " + json.dumps(meta, sort_keys=True) + "\n")
     return 0
 
 
@@ -293,7 +378,7 @@ def cmd_signal(args) -> int:
         "seed": args.seed,
         "generator": GENERATOR_NAME,
     }
-    _emit_rows(args, record)
+    _write(args, record)
     return 0 if abs(result.z_score) < 5.0 else 1
 
 
@@ -307,19 +392,23 @@ def _random_bloch(u: np.ndarray) -> np.ndarray:
     return r[:, None] * np.column_stack([sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t])
 
 
+def _uncertainty_block(stream: SeededStream, data, start: int, stop: int) -> dict:
+    """The relations on samples [start, stop), one row per relation of each:
+    sample i reads words [3i, 3i + 3) of ``stream``, so the rows do not
+    depend on the block."""
+    u = stream.uniforms(3 * start, 3 * (stop - start))
+    table = _relations(_bloch_rows(_random_bloch(u)), *data)
+    lhs = np.column_stack([table[r][0] for r in RELATION_IDS]).ravel()
+    rhs = np.column_stack([table[r][1] for r in RELATION_IDS]).ravel()
+    return {"relation_id": RELATION_IDS * (stop - start), "lhs": lhs, "rhs": rhs,
+            "slack": lhs - rhs}
+
+
 def cmd_uncertainty(args) -> int:
     spec = _resolve_spec(args)
-    data = _spec_relations(spec)  # every refusal of the spec, before any draw
-    u = SeededStream(args.seed).uniforms(0, 3 * args.samples)
-    table = _relations(_bloch_rows(_random_bloch(u)), *data)
-    lhs = np.column_stack([table[r][0] for r in RELATION_IDS])
-    rhs = np.column_stack([table[r][1] for r in RELATION_IDS])
-    rows = [
-        {"relation_id": relation_id, "lhs": lo, "rhs": hi, "slack": gap}
-        for row in zip(lhs.tolist(), rhs.tolist(), (lhs - rhs).tolist())
-        for relation_id, lo, hi, gap in zip(RELATION_IDS, *row)
-    ]
-    _emit_rows(args, rows)
+    data = _spec_relations(spec)  # every refusal of the spec, before any output or draw
+    stream = SeededStream(args.seed)
+    _write(args, (_uncertainty_block(stream, data, *rows) for rows in _row_ranges(args.samples)))
     return 0
 
 
@@ -335,18 +424,11 @@ def cmd_bb84(args) -> int:
         deviation = (
             abs(report.empirical_success - p) / stderr if stderr > 0.0 else 0.0
         )
-        rows.append(
-            {
-                "theta_deg": math.degrees(report.theta),
-                "alpha": report.alpha,
-                "analytic_success": p,
-                "empirical_success": report.empirical_success,
-                "n_trials": report.n_trials,
-                "deviation_sigma": deviation,
-                "seed": args.seed,
-            }
-        )
-    _emit_rows(args, rows)
+        rows.append((math.degrees(report.theta), report.alpha, p, report.empirical_success,
+                     report.n_trials, deviation, args.seed))
+    keys = ("theta_deg", "alpha", "analytic_success", "empirical_success", "n_trials",
+            "deviation_sigma", "seed")
+    _write(args, [dict(zip(keys, zip(*rows)))])
     return 0
 
 
@@ -363,7 +445,7 @@ def cmd_cloning(args) -> int:
         "min_gap": worst.gap,
         "min_gap_theta_deg": math.degrees(worst.theta),
     }
-    _emit_rows(args, record)
+    _write(args, record)
     return 0
 
 
@@ -434,11 +516,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, extra = parser.parse_known_args(argv)
+    words = list(sys.argv[1:] if argv is None else argv)
+    # the top-level parser's leftovers come first, all from before the subcommand
+    usage = parser if extra and extra[0] in words[:words.index(args.command)] else args.usage
     try:
+        if extra:
+            raise argparse.ArgumentTypeError(f"unrecognized arguments: {' '.join(extra)}")
         return args.func(args)
     except (argparse.ArgumentTypeError, ZeroAlpha) as exc:
-        args.usage.error(str(exc))
+        usage.error(str(exc))
     except SpinJointError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -153,9 +153,11 @@ def tsirelson_settings(a, a_prime) -> Settings:
     return Settings(b=b, b_prime=b_prime)
 
 
+@functools.cache
 def sharp_chsh_reference() -> tuple[CorrelationSet, float]:
     """The classic maximal-violation configuration: sharp measurements
-    along z and x against analyzers on the bisectors; CHSH = 2 sqrt(2)."""
+    along z and x against analyzers on the bisectors; CHSH = 2 sqrt(2).
+    Built once and kept: a frozen correlation set and a float."""
     a = np.array([0.0, 0.0, 1.0])
     ap = np.array([1.0, 0.0, 0.0])
     corr = sharp_correlations(a, ap, tsirelson_settings(a, ap))

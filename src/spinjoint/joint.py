@@ -240,9 +240,12 @@ def max_symmetric_alpha(theta):
     return float(alpha) if alpha.ndim == 0 else alpha
 
 
-def _theta_grid(points: int, half_turn: float = math.pi) -> np.ndarray:
-    """i * half_turn / (points - 1) for i < points, as Python would round it."""
-    return np.arange(points) * half_turn / (points - 1)
+def _theta_grid(points: int, half_turn: float = math.pi, start: int = 0,
+                stop: int | None = None) -> np.ndarray:
+    """i * half_turn / (points - 1) for start <= i < stop (default points), as
+    Python would round it: each element alone, so any block of the grid
+    holds the same bits as the whole."""
+    return np.arange(start, points if stop is None else stop) * half_turn / (points - 1)
 
 
 def optimal_joint_povm(spec: JointSpec) -> Povm:

@@ -76,6 +76,16 @@ CLI_MANIFEST = {
     "uncertainty-json": (
         ["uncertainty", "--format", "json"],
         0, "eb907be80c7622e7aa05568bd87a63e632c8627b05d03ea27458502f296cc129", True),
+    # alpha^2 alpha'^2 = 1e-320 is subnormal: the joint relations' lhs and
+    # slack are inf, which csv spells inf and json Infinity (not float.__repr__)
+    "uncertainty-nonfinite-csv": (
+        ["uncertainty", "--alpha", "1e-80", "--alpha-prime", "1e-80", "--samples", "2",
+         "--seed", "0"],
+        0, "c408cc930068ed779d2729a75fdaa5aae9d4ca7d9d97b8c9ec2619d937c54bd5", True),
+    "uncertainty-nonfinite-json": (
+        ["uncertainty", "--alpha", "1e-80", "--alpha-prime", "1e-80", "--samples", "2",
+         "--seed", "0", "--format", "json"],
+        0, "46bf07987b43113eaaf01883e087a52799e807ae930d5c4b036ba1f574264c92", True),
     # the "--" Born entry rounds to -3.06e-17 and is set to 0 without a warning
     "sample-clamped": (
         ["sample", "--theta-deg", "180", "--bloch", "1,0,0", "--n", "10", "--seed", "1"],
@@ -227,7 +237,7 @@ CLI_MANIFEST = {
 
 # Many-row output, recorded while the uncertainty powers were still Python
 # loops: 25001 samples are 75003 stream words and 25001 rows, more than one
-# 2^16-word block and one 2^14-row block and a multiple of neither.  Kept out
+# 2^16-word block and one 2^10-row block and a multiple of neither.  Kept out
 # of CLI_MANIFEST, whose entries test_in_process_calls_are_independent runs
 # twice more, so each of these runs once.
 MANY_ROW_MANIFEST = {

@@ -40,10 +40,14 @@ made with numpy, max|m - m^H| <= ATOL, as the oracle for its verdict.
 route that ``scan-theta`` and ``min_cloning_gap`` once took (a
 ``JointSpec.from_angle`` and a ``product_form`` call per angle, ``min``
 over one ``cloning_joint`` per angle), as the oracle for their batches.
+``csv_text`` renders such rows as the CLI's csv, cell by cell, apart from
+the CLI's own writer.
 """
 
+import csv
 import decimal
 import functools
+import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -272,6 +276,16 @@ def scan_theta_rows(points):
             "cloning_gap": alpha - CLONER_ETA_MAX,
         })
     return rows
+
+
+def csv_text(rows):
+    """A header of the first row's keys, then each row, floats as "%.17g"."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(rows[0])
+    writer.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row.values()]
+                     for row in rows)
+    return buf.getvalue()
 
 
 def min_cloning_gap_per_point(eta, points=181):

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from golden import CLI_MANIFEST, MANY_ROW_MANIFEST, check_entry
-from helpers import scan_theta_rows
+from helpers import csv_text, scan_theta_rows
 from spinjoint import cli, sampling, validate
 from spinjoint.cli import main
 from spinjoint.joint import is_admissible, max_symmetric_alpha
@@ -245,6 +246,8 @@ def cli_argvs(draw):
         argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
     if draw(st.booleans()):
         argv += ["--format", draw(st.sampled_from(["csv", "json", "xml"]))]
+    if draw(st.integers(0, 9)) == 0:  # an unknown flag or a stray word
+        argv += draw(st.sampled_from([["--bogus"], ["--bogus=1"], ["--bogus", "1"], ["stray"]]))
     return argv
 
 
@@ -322,6 +325,10 @@ USAGE = {
         "                             [--samples SAMPLES] [--seed SEED] [--out OUT]\n"
         "                             [--format {csv,json}]\n"
     ),
+    "scan-theta": (
+        "usage: spinjoint scan-theta [-h] [--points POINTS] [--out OUT]\n"
+        "                            [--format {csv,json}]\n"
+    ),
 }
 
 
@@ -336,6 +343,9 @@ USAGE = {
         (["uncertainty", "--alpha", "0", "--alpha-prime", "0"],
          "the relations divide by alpha^2 alpha'^2, which is 0 here"),
         (["validate", "--out", "{tmp}"], "cannot write --out {tmp}: Is a directory"),
+        # arguments left over after the subcommand
+        (["validate", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        (["scan-theta", "extra"], "unrecognized arguments: extra"),
     ],
 )
 def test_usage_errors_found_by_a_command_print_this_text(tmp_path, capsys, monkeypatch,
@@ -444,6 +454,32 @@ def test_out_onto_a_directory_exits_2(tmp_path, capsys):
     assert "Traceback" not in out.err
 
 
+@pytest.mark.parametrize("argv, cells", [
+    (["uncertainty"], 24), (["uncertainty", "--format", "json"], 24),
+    (["scan-theta"], 4), (["scan-theta", "--format", "json"], 4),
+])
+def test_row_commands_hold_one_block(tmp_path, argv, cells):
+    # uncertainty and scan-theta make and write one block of rows at a time,
+    # so going from 3 to 24 blocks adds (almost) nothing to the peak, and the
+    # peak stays near one block: at most 256 bytes per cell of a block row
+    # (24 cells per uncertainty sample, 4 per angle)
+    size = "--samples" if argv[0] == "uncertainty" else "--points"
+    out = str(tmp_path / "out")
+
+    def peak(rows):
+        tracemalloc.start()
+        try:
+            assert main([*argv, size, str(rows), "--out", out]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(4)  # caches and first-call set-up stay out of the measurement
+    small, large = peak(3 * cli._ROWS), peak(24 * cli._ROWS)
+    assert large - small <= 1 << 20, (small, large)
+    assert max(small, large) <= 256 * cells * cli._ROWS, (small, large)
+
+
 def test_scan_theta_deterministic_and_correct(capsys):
     code, first, _ = run(capsys, ["scan-theta", "--points", "181"])
     assert code == 0
@@ -468,7 +504,7 @@ def test_scan_theta_matches_the_per_point_route(points, capsys):
     # JointSpec and one product_form call per angle
     code, out, _ = run(capsys, ["scan-theta", "--points", str(points)])
     assert code == 0
-    assert out == cli._csv_text(scan_theta_rows(points))
+    assert out == csv_text(scan_theta_rows(points))
 
 
 def test_scan_theta_to_file(tmp_path, capsys):
@@ -704,3 +740,17 @@ def test_python_dash_m_entry_point(argv, code):
         assert hashlib.sha256(done.stdout.encode()).hexdigest() == digest
     if code == 2:
         assert done.stderr.startswith("usage:")
+
+
+def test_a_reader_that_stops_early_gets_no_traceback():
+    # `spinjoint uncertainty --samples 20000 | head -1`: the pipe closes after
+    # the first of about 8 MB of rows, and the command still ends quietly
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    argv = [sys.executable, "-m", "spinjoint", "uncertainty", "--samples", "20000"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        assert proc.stdout.readline() == b"relation_id,lhs,rhs,slack\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0, err
+    assert err == b""

@@ -151,6 +151,10 @@ def test_sharp_reference_reaches_tsirelson():
     assert value == pytest.approx(2.0 * SQ2, abs=1e-12)
 
 
+def test_sharp_reference_is_built_once():
+    assert sharp_chsh_reference() is sharp_chsh_reference()
+
+
 def test_tsirelson_settings_bisectors():
     settings = tsirelson_settings(Z, X)
     assert np.max(np.abs(settings.b - (Z + X) / SQ2)) <= 1e-12

@@ -2,8 +2,8 @@
 positioned and read (``random_raw``) only in ``SeededStream._reader``,
 which only ``SeededStream.uniforms`` and the one walk over stream draws
 ``sampling._block_sum`` call, so no numpy ``Generator`` is made anywhere,
-``uniforms`` is called in the package only by ``cli.cmd_uncertainty``
-(which reads its draws in one piece), only the walk reads the block size
+``uniforms`` is called in the package only by ``cli._uncertainty_block``
+(one block of whole 3-word rows per call), only the walk reads the block size
 ``_BLOCK``, probabilities become word thresholds only in
 ``sampling._word_bounds``, called once per count by ``sampling._counts``
 and ``scenarios.bb84_eve`` (never per block, so not inside its
@@ -57,8 +57,8 @@ them.  The four-outcome joint family is built only in
 ``JointSpec._general_povm``; ``switch_povm`` is the one other function
 that reads ``OUTCOME_LABELS``.
 The theta grid i * pi / (P - 1) is built only in ``joint._theta_grid``,
-called only by ``cli.cmd_scan_theta`` and ``scenarios.min_cloning_gap``,
-which go over the grid as arrays: ``cmd_scan_theta`` builds no
+called only by ``cli._scan_theta_block`` and ``scenarios.min_cloning_gap``,
+which go over the grid as arrays: ``scan-theta`` builds no
 ``JointSpec`` and calls no ``product_form``, and ``min_cloning_gap`` calls
 ``cloning_joint`` once, outside any loop.
 Each CLI command is a function of its parsed flags alone: no ``cmd_*``
@@ -68,8 +68,11 @@ of ``build_parser`` in ``cli.py``), and ``cmd_validate`` takes its admissibility
 one ``general_joint_povm`` call, never from ``is_admissible`` or
 ``require_admissible``.  ``cli.py`` reads neither ``TOL`` nor ``ATOL``, so
 every exit 1 about a spec is a library refusal, never a second verdict.
-Indented JSON goes through ``json.dumps(..., indent=...)`` only in
-``cli._emit_rows``: ``povm_to_json`` writes its text itself.  Hermiticity
+No call of ``json.dumps(..., indent=...)`` is left: ``povm_to_json``
+writes its text itself, and the CLI's one table writer
+``cli._write_table`` fills the json layout of ``cli._json_object`` (which
+only it and ``cli._cell``, for nested objects, call) and is the one
+caller of ``csv.writer``.  Hermiticity
 is decided only by ``qubit.is_hermitian``, called only by the checked
 constructors' ``Effect.__post_init__`` and ``qubit._density_matrix``, and
 no other function takes a conjugate.  No module imports ``warnings`` or
@@ -121,10 +124,11 @@ PROBABILITY_CALLERS = {("povm.py", "outcome_probabilities"), ("scenarios.py", "b
 DRAW_WALK = ("sampling.py", "_block_sum")
 READER_CALLERS = {("sampling.py", "SeededStream.uniforms"), DRAW_WALK}
 WORD_BOUNDS_CALLERS = {("sampling.py", "_counts"), ("scenarios.py", "bb84_eve")}
-UNIFORMS_CALLERS = {("cli.py", "cmd_uncertainty")}
-SCAN_THETA = ("cli.py", "cmd_scan_theta")
+UNIFORMS_CALLERS = {("cli.py", "_uncertainty_block")}
+SCAN_THETA = ("cli.py", "_scan_theta_block")
 CLI_MAIN = ("cli.py", "main")
-JSON_WRITER = ("cli.py", "_emit_rows")
+TABLE_WRITER = ("cli.py", "_write_table")
+JSON_LAYOUT_CALLERS = {TABLE_WRITER, ("cli.py", "_cell")}
 PLANE_CALLERS = {("uncertainty.py", "_spec_relations"), ("uncertainty.py", "robertson"),
                  ("uncertainty.py", "schroedinger")}
 RELATION_HELPERS = {"_plane", "_plane_normal", "_product_forms", "_squares", "_joint_variance"}
@@ -280,7 +284,8 @@ def test_one_singlet_and_one_probability_kernel():
 
 def test_theta_grid_is_one_batch():
     assert set(_calls("_theta_grid")) == {SCAN_THETA, GAP_SCAN}
-    scan_names = {_name(node) for path, func, node in _nodes() if (path, func) == SCAN_THETA}
+    scan_names = {_name(node) for path, func, node in _nodes()
+                  if (path, func) in {SCAN_THETA, ("cli.py", "cmd_scan_theta")}}
     assert not {"JointSpec", "from_angle", "product_form"} & scan_names
     (gap_scan,) = [node for path, func, node in _nodes()
                    if (path, func) == GAP_SCAN and isinstance(node, ast.FunctionDef)]
@@ -380,7 +385,12 @@ def test_one_indented_json_writer():
         if isinstance(node, ast.Call) and _name(node.func) == "dumps"
         and any(keyword.arg == "indent" for keyword in node.keywords)
     ]
-    assert indented == [JSON_WRITER]
+    assert indented == []
+    assert set(_calls("_json_object")) == JSON_LAYOUT_CALLERS
+
+
+def test_one_csv_writer():
+    assert _calls("writer") == [TABLE_WRITER]
 
 
 def test_one_hermiticity_decision():
